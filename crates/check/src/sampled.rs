@@ -154,7 +154,8 @@ pub fn check_learned(
 
     if run.estimate.exact_fallback {
         return Err(format!(
-            "learned run fell back to exact mode (workload too small for grain {} × period {});              the comparison is vacuous",
+            "learned run fell back to exact mode (workload too small for grain {} × period {}); \
+             the comparison is vacuous",
             params.grain_instrs, params.period
         ));
     }
@@ -164,13 +165,15 @@ pub fn check_learned(
         .ok_or("run_sampled_learned reported no learned stats")?;
     if stats.rerun_full {
         return Err(format!(
-            "fallback ladder escalated to a full plain-warming rerun              ({} fallbacks, rolling error {:.1}%) — learned mode does not hold at this point",
+            "fallback ladder escalated to a full plain-warming rerun \
+             ({} fallbacks, rolling error {:.1}%) — learned mode does not hold at this point",
             stats.fallbacks, stats.rolling_err_pct
         ));
     }
     if stats.predictions == 0 || stats.skipped_grains == 0 {
         return Err(format!(
-            "learned run never skipped (predictions {}, skipped grains {}) —              the accuracy comparison is vacuous",
+            "learned run never skipped (predictions {}, skipped grains {}) — \
+             the accuracy comparison is vacuous",
             stats.predictions, stats.skipped_grains
         ));
     }
@@ -200,7 +203,8 @@ pub fn check_learned(
     }
     if cpi_error_pct.abs() > tolerance_pct {
         return Err(format!(
-            "learned CPI {learned_cpi:.4} vs exact {exact_cpi:.4}: error {cpi_error_pct:+.2}%              exceeds tolerance {tolerance_pct}% (ci95 {ci95_pct:.2}%, n={}, skip {:.2}, fb {})",
+            "learned CPI {learned_cpi:.4} vs exact {exact_cpi:.4}: error {cpi_error_pct:+.2}% \
+             exceeds tolerance {tolerance_pct}% (ci95 {ci95_pct:.2}%, n={}, skip {:.2}, fb {})",
             run.estimate.grains_measured,
             stats.skip_fraction(),
             stats.fallbacks
@@ -292,6 +296,47 @@ mod tests {
         )
         .expect_err("a run that never skips must be rejected");
         assert!(err.contains("vacuous"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn learned_check_messages_are_single_spaced() {
+        // Drive every failure `check_learned` reports and read the text a
+        // user would see.
+        let w = BenchmarkProfile::amazon().scaled(600_000).build(42);
+        let tiny = BenchmarkProfile::amazon().scaled(2_000).build(42);
+        let learn = esp_core::LearnParams::default();
+        let sp = SampleParams::default();
+        let cases = [
+            ("fell back to exact mode", check_learned(&SimConfig::base(), &tiny, sp, learn, 50.0)),
+            (
+                "full plain-warming rerun",
+                // One allowed fallback bottoms the ladder out on this
+                // point (see the sampling engine's ladder tests).
+                check_learned(
+                    &SimConfig::base(),
+                    &w,
+                    sp,
+                    esp_core::LearnParams { max_fallbacks: 1, ..learn },
+                    50.0,
+                ),
+            ),
+            (
+                "never skipped",
+                check_learned(
+                    &SimConfig::base(),
+                    &w,
+                    sp,
+                    esp_core::LearnParams { train_stretches: 10_000, ..learn },
+                    50.0,
+                ),
+            ),
+            ("exceeds tolerance", check_learned(&SimConfig::esp_nl(), &w, sp, learn, 0.0)),
+        ];
+        for (want, got) in cases {
+            let msg = got.expect_err(want);
+            assert!(msg.contains(want), "expected {want:?} in: {msg}");
+            assert!(!msg.contains("  "), "message has a run of spaces: {msg:?}");
+        }
     }
 
     #[test]

@@ -141,6 +141,55 @@ fn caps_for(depth_idx: usize, ideal: bool) -> ListCapacities {
     }
 }
 
+/// A per-slot side cache that remembers the lines filled into it, so
+/// recycling it for a new slot invalidates only those lines. The ideal
+/// configuration's side caches are 4 MiB each: allocating a fresh one
+/// per event promotion, or flushing every set, costs more than the few
+/// thousand lines a slot actually fills. Emptied either way, the cache
+/// behaves exactly like a new one (LRU victims depend only on the
+/// stamps' order within a set; the side caches' statistics are never
+/// read).
+struct SideCache {
+    cache: SetAssocCache,
+    /// Lines filled since the last clear; one past the cache's capacity
+    /// means "too many to track, flush instead", which bounds the log.
+    filled: Vec<LineAddr>,
+    capacity_lines: usize,
+}
+
+impl SideCache {
+    fn new(config: CacheConfig) -> Self {
+        let capacity_lines = (config.size_bytes / config.line_bytes) as usize;
+        SideCache { cache: SetAssocCache::new(config), filled: Vec::new(), capacity_lines }
+    }
+
+    /// A fill after a side-cache miss.
+    fn fill(&mut self, line: LineAddr, now: Cycle, ready: Cycle) {
+        self.cache.fill(line, now, ready, false);
+        if self.filled.len() <= self.capacity_lines {
+            self.filled.push(line);
+        }
+    }
+
+    /// Empties the cache by invalidating the lines filled since the last
+    /// clear (or flushing, past the log's bound).
+    fn clear(&mut self) {
+        if self.filled.len() > self.capacity_lines {
+            self.flush();
+            return;
+        }
+        for line in self.filled.drain(..) {
+            self.cache.invalidate(line);
+        }
+    }
+
+    /// Empties every set.
+    fn flush(&mut self) {
+        self.cache.flush();
+        self.filled.clear();
+    }
+}
+
 /// The ESP hardware state for one simulated core.
 pub(crate) struct EspState<'w> {
     features: EspFeatures,
@@ -151,8 +200,8 @@ pub(crate) struct EspState<'w> {
     cachelet_d: Cachelet,
     /// Per-slot caches standing in for the cachelets beyond depth 2 (the
     /// Fig. 13 probe) or for the unbounded ideal configuration.
-    side_i: Vec<SetAssocCache>,
-    side_d: Vec<SetAssocCache>,
+    side_i: Vec<SideCache>,
+    side_d: Vec<SideCache>,
     stats: EspRunStats,
     working_sets: WorkingSetReport,
     /// Scratch buffer for the per-window RAS/PIR checkpoint, reused so
@@ -165,8 +214,8 @@ impl<'w> EspState<'w> {
         features.validate().expect("invalid ESP features");
         let depth = features.depth;
         let slots = (0..depth).map(|i| Slot::empty(caps_for(i, features.ideal))).collect();
-        let side = |n: usize| -> Vec<SetAssocCache> {
-            (0..n).map(|_| SetAssocCache::new(Self::side_cache_config(features.ideal))).collect()
+        let side = |n: usize| -> Vec<SideCache> {
+            (0..n).map(|_| SideCache::new(Self::side_cache_config(features.ideal))).collect()
         };
         // Ideal mode gives every slot its own huge cache; otherwise only
         // depths >= 2 (which exist only in the Fig. 13 probe) need side
@@ -416,7 +465,7 @@ impl<'w> EspState<'w> {
                 }
             } else {
                 let result = match side {
-                    Some(i) => self.side_i[i].access(fetch_line, t),
+                    Some(i) => self.side_i[i].cache.access(fetch_line, t),
                     None => {
                         let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
                         self.cachelet_i.access(cs, fetch_line, t)
@@ -429,7 +478,7 @@ impl<'w> EspState<'w> {
                         let (lat, llc) = engine.mem().bypass_latency(fetch_line);
                         let ready = if features.ideal { t } else { t + lat };
                         match side {
-                            Some(i) => self.side_i[i].fill(fetch_line, t, ready, false),
+                            Some(i) => self.side_i[i].fill(fetch_line, t, ready),
                             None => {
                                 let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
                                 self.cachelet_i.fill(cs, fetch_line, t, ready);
@@ -491,7 +540,7 @@ impl<'w> EspState<'w> {
                 }
             } else {
                 let result = match side {
-                    Some(i) => self.side_d[i].access(line, t),
+                    Some(i) => self.side_d[i].cache.access(line, t),
                     None => {
                         let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
                         self.cachelet_d.access(cs, line, t)
@@ -504,7 +553,7 @@ impl<'w> EspState<'w> {
                         let (lat, llc) = engine.mem().bypass_latency(line);
                         let ready = if features.ideal { t } else { t + lat };
                         match side {
-                            Some(i) => self.side_d[i].fill(line, t, ready, false),
+                            Some(i) => self.side_d[i].fill(line, t, ready),
                             None => {
                                 let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
                                 self.cachelet_d.fill(cs, line, t, ready);
@@ -570,7 +619,7 @@ impl<'w> EspState<'w> {
                 }
             } else {
                 let result = match side {
-                    Some(i) => self.side_i[i].access(fetch_line, t),
+                    Some(i) => self.side_i[i].cache.access(fetch_line, t),
                     None => {
                         let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
                         self.cachelet_i.access(cs, fetch_line, t)
@@ -583,7 +632,7 @@ impl<'w> EspState<'w> {
                         let (lat, llc) = engine.mem().bypass_latency(fetch_line);
                         let ready = if features.ideal { t } else { t + lat };
                         match side {
-                            Some(i) => self.side_i[i].fill(fetch_line, t, ready, false),
+                            Some(i) => self.side_i[i].fill(fetch_line, t, ready),
                             None => {
                                 let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
                                 self.cachelet_i.fill(cs, fetch_line, t, ready);
@@ -644,7 +693,7 @@ impl<'w> EspState<'w> {
                 }
             } else {
                 let result = match side {
-                    Some(i) => self.side_d[i].access(line, t),
+                    Some(i) => self.side_d[i].cache.access(line, t),
                     None => {
                         let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
                         self.cachelet_d.access(cs, line, t)
@@ -657,7 +706,7 @@ impl<'w> EspState<'w> {
                         let (lat, llc) = engine.mem().bypass_latency(line);
                         let ready = if features.ideal { t } else { t + lat };
                         match side {
-                            Some(i) => self.side_d[i].fill(line, t, ready, false),
+                            Some(i) => self.side_d[i].fill(line, t, ready),
                             None => {
                                 let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
                                 self.cachelet_d.fill(cs, line, t, ready);
@@ -720,13 +769,14 @@ impl<'w> EspState<'w> {
             self.cachelet_i.rotate();
             self.cachelet_d.rotate();
         }
-        // Side caches shift with their slots; the freed one is recycled.
+        // Side caches shift with their slots; the freed one is emptied
+        // and recycled for the new last slot.
         if !self.side_i.is_empty() {
             if self.features.ideal {
-                self.side_i.remove(0);
-                self.side_d.remove(0);
-                self.side_i.push(SetAssocCache::new(Self::side_cache_config(true)));
-                self.side_d.push(SetAssocCache::new(Self::side_cache_config(true)));
+                for side in [&mut self.side_i, &mut self.side_d] {
+                    side[0].clear();
+                    side.rotate_left(1);
+                }
             } else {
                 // Depth-2 promotion into the shared cachelet loses the
                 // probe slots' contents (they are measurement-only).
@@ -756,6 +806,37 @@ mod tests {
     use esp_trace::{EventRecord, Instr, VecEventStream};
     use esp_types::{Addr, EventId, EventKindId};
     use esp_uarch::{EngineConfig, StallKind};
+
+    #[test]
+    fn recycled_side_cache_behaves_like_a_new_one() {
+        // 16 lines in 8 sets: 12 fills stay in the log, 40 overflow it.
+        let config = || CacheConfig {
+            name: "side".into(),
+            size_bytes: 1024,
+            ways: 2,
+            line_bytes: 64,
+            hit_latency: 2,
+        };
+        let line = |i: u64| LineAddr::new(i.wrapping_mul(0x9e37_79b9) % 97);
+        for prior_fills in [12, 40] {
+            let mut recycled = SideCache::new(config());
+            for i in 0..prior_fills {
+                recycled.fill(line(i + 1000), Cycle::new(i), Cycle::new(i + 50));
+            }
+            recycled.clear();
+            assert_eq!(recycled.cache.occupancy(), 0);
+            let mut fresh = SideCache::new(config());
+            for i in 0..400u64 {
+                let (l, t) = (line(i), Cycle::new(1000 + i));
+                let got = recycled.cache.access(l, t);
+                assert_eq!(got, fresh.cache.access(l, t), "access {i} after {prior_fills} fills");
+                if got == AccessResult::Miss {
+                    recycled.fill(l, t, t + 30);
+                    fresh.fill(l, t, t + 30);
+                }
+            }
+        }
+    }
 
     /// A tiny in-memory workload with fully controllable event streams.
     struct ToyWorkload {

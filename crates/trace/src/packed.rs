@@ -233,38 +233,100 @@ impl PackedTrace {
         PackedTrace::default()
     }
 
+    /// Creates an empty trace with room for `instrs` instructions and
+    /// `ops` operand words, so a producer that knows its length up front
+    /// packs without regrowing.
+    pub fn with_capacity(instrs: usize, ops: usize) -> Self {
+        PackedTrace {
+            kinds: Vec::with_capacity(instrs),
+            ops: Vec::with_capacity(ops),
+            ..PackedTrace::default()
+        }
+    }
+
     /// Appends one instruction.
     pub fn push(&mut self, i: &Instr) {
-        let pc = i.pc.as_u64();
-        let explicit = if self.kinds.is_empty() {
+        let (kind, op) = match i.kind {
+            InstrKind::Alu => (TAG_ALU, 0),
+            InstrKind::Load { addr, chained } => {
+                (TAG_LOAD | if chained { FLAG_BIT } else { 0 }, addr.as_u64())
+            }
+            InstrKind::Store { addr } => (TAG_STORE, addr.as_u64()),
+            InstrKind::CondBranch { taken, target } => {
+                (TAG_COND | if taken { FLAG_BIT } else { 0 }, target.as_u64())
+            }
+            InstrKind::IndirectBranch { target } => (TAG_IND_BRANCH, target.as_u64()),
+            InstrKind::IndirectCall { target } => (TAG_IND_CALL, target.as_u64()),
+            InstrKind::Call { target } => (TAG_CALL, target.as_u64()),
+            InstrKind::Return { target } => (TAG_RET, target.as_u64()),
+        };
+        self.push_raw(i.pc.as_u64(), kind, op);
+    }
+
+    /// Appends one instruction in raw form — the inverse of
+    /// [`RawStep::to_instr`]: `kind` is a [`kindbits`] tag plus
+    /// [`kindbits::FLAG_BIT`], and `op` the operand word (ignored for
+    /// ALUs). The [`kindbits::EXPLICIT_PC`] flag is this method's to set:
+    /// it marks `pc` when it does not follow the previous instruction.
+    /// Producers that decode straight into kind bytes (the workload
+    /// generator's packed emitter) skip building an [`Instr`].
+    #[inline(always)]
+    pub fn push_raw(&mut self, pc: u64, kind: u8, op: u64) {
+        debug_assert_eq!(kind & !(TAG_MASK | FLAG_BIT), 0, "push_raw kind {kind:#04x}");
+        let mut kind = kind;
+        if self.kinds.is_empty() {
+            self.start_pc = pc;
+        } else if pc != self.expect_pc {
+            kind |= EXPLICIT_PC;
+            self.ops.push(pc);
+        }
+        let tag = kind & TAG_MASK;
+        if tag != TAG_ALU {
+            self.ops.push(op);
+        }
+        self.kinds.push(kind);
+        // Mirror `Instr::next_pc`, as `PackedCursor::next_raw` does.
+        self.expect_pc = if tag < TAG_COND || (tag == TAG_COND && kind & FLAG_BIT == 0) {
+            pc.wrapping_add(INSTR_BYTES)
+        } else {
+            op
+        };
+    }
+
+    /// Appends a straight-line run of `n` non-control instructions (ALU,
+    /// load or store) at consecutive pcs from `pc`; `next(k)` yields the
+    /// kind byte and operand of the `k`-th, as for
+    /// [`PackedTrace::push_raw`]. Stores exactly what `n` `push_raw`
+    /// calls would, but checks control-flow continuity once per run
+    /// rather than per instruction.
+    #[inline(always)]
+    pub fn push_run(&mut self, pc: u64, n: usize, mut next: impl FnMut(usize) -> (u8, u64)) {
+        if n == 0 {
+            return;
+        }
+        let first = self.kinds.len();
+        let explicit = if first == 0 {
             self.start_pc = pc;
             false
         } else {
             pc != self.expect_pc
         };
-        let (tag, flag, op) = match i.kind {
-            InstrKind::Alu => (TAG_ALU, false, None),
-            InstrKind::Load { addr, chained } => (TAG_LOAD, chained, Some(addr.as_u64())),
-            InstrKind::Store { addr } => (TAG_STORE, false, Some(addr.as_u64())),
-            InstrKind::CondBranch { taken, target } => (TAG_COND, taken, Some(target.as_u64())),
-            InstrKind::IndirectBranch { target } => (TAG_IND_BRANCH, false, Some(target.as_u64())),
-            InstrKind::IndirectCall { target } => (TAG_IND_CALL, false, Some(target.as_u64())),
-            InstrKind::Call { target } => (TAG_CALL, false, Some(target.as_u64())),
-            InstrKind::Return { target } => (TAG_RET, false, Some(target.as_u64())),
-        };
-        let mut kind = tag;
-        if flag {
-            kind |= FLAG_BIT;
-        }
         if explicit {
-            kind |= EXPLICIT_PC;
+            // The explicit pc precedes the first instruction's operand.
             self.ops.push(pc);
         }
-        if let Some(op) = op {
-            self.ops.push(op);
+        for k in 0..n {
+            let (kind, op) = next(k);
+            debug_assert!(kind & !(TAG_MASK | FLAG_BIT) == 0 && kind & TAG_MASK < TAG_COND);
+            if kind & TAG_MASK != TAG_ALU {
+                self.ops.push(op);
+            }
+            self.kinds.push(kind);
         }
-        self.kinds.push(kind);
-        self.expect_pc = i.next_pc().as_u64();
+        if explicit {
+            self.kinds[first] |= EXPLICIT_PC;
+        }
+        self.expect_pc = pc.wrapping_add(n as u64 * INSTR_BYTES);
     }
 
     /// Drains `stream` to completion into a packed trace.
@@ -1200,6 +1262,43 @@ mod tests {
         // after the return... count via flags instead).
         let explicit = p.kinds.iter().filter(|&&k| k & EXPLICIT_PC != 0).count();
         assert!(explicit >= 3, "discontinuities must be flagged");
+    }
+
+    #[test]
+    fn push_run_packs_like_single_pushes() {
+        // Runs that continue the flow, start a trace, or follow a jump
+        // (the explicit-pc case) store what one `push` each would.
+        let body = |pc: u64| {
+            vec![
+                Instr::load(a(pc), a(0x8000), true),
+                Instr::alu(a(pc + 4)),
+                Instr::store(a(pc + 8), a(0x8008)),
+            ]
+        };
+        let raw = |i: &Instr| match i.kind {
+            InstrKind::Alu => (TAG_ALU, 0),
+            InstrKind::Load { addr, chained } => {
+                (TAG_LOAD | u8::from(chained) * FLAG_BIT, addr.as_u64())
+            }
+            InstrKind::Store { addr } => (TAG_STORE, addr.as_u64()),
+            _ => unreachable!("runs hold no control flow"),
+        };
+        let mut want = body(0x1000);
+        want.push(Instr::call(a(0x100c), a(0x2000)));
+        want.extend(body(0x2000));
+        want.push(Instr::ret(a(0x200c), a(0x1010)));
+        want.extend(body(0x9000));
+        let mut got = PackedTrace::with_capacity(want.len(), want.len());
+        for (run, next) in [(0..3, Some(3)), (4..7, Some(7)), (8..11, None)] {
+            let pc = want[run.start].pc.as_u64();
+            let instrs = &want[run];
+            got.push_run(pc, instrs.len(), |k| raw(&instrs[k]));
+            if let Some(n) = next {
+                got.push(&want[n]);
+            }
+        }
+        assert_eq!(got, PackedTrace::from_instrs(&want));
+        assert_ne!(got.kind_bytes()[8] & EXPLICIT_PC, 0, "the jump must mark the run's first pc");
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! assert!(!packed.events().is_empty());
 //! ```
 
+use crate::walk::SlotMemo;
 use crate::{BenchmarkProfile, GeneratedWorkload};
-use esp_trace::{EventStream, PackedEvent, PackedTrace, PackedWorkload, TraceArena, Workload};
+use esp_trace::{PackedEvent, PackedTrace, PackedWorkload, TraceArena, Workload};
 use esp_types::EventId;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -39,29 +40,29 @@ impl GeneratedWorkload {
     /// The result replays bit-identically: the packed actual stream is
     /// the full regenerative walk, and the speculative view shares the
     /// actual arrays up to the event's recorded divergence point, then
-    /// continues in a tail recorded from the speculative walk. Decoding
-    /// is seed-deterministic, so the arena contents are independent of
-    /// `threads`.
+    /// continues in a tail packed from a speculative copy of the actual
+    /// walk taken at that point. Decoding is seed-deterministic, so the
+    /// arena contents are independent of `threads`.
     pub fn materialise_par(&self, threads: usize) -> PackedWorkload {
         let details = self.schedule().details();
+        let memo = SlotMemo::new(self.image());
         let events = esp_par::parallel_map(threads, details, |_, d| {
-            let id = EventId::new(d.index);
-            let mut actual = PackedTrace::from_stream(&mut self.walk_actual(id));
-            actual.shrink_to_fit();
+            let mut walk = self.walk_actual(EventId::new(d.index));
+            let mut actual = presized(d.len);
             let (diverge_at, tail) = match d.diverge_at {
                 // A divergence point past the event's budget never
                 // triggers; store the event as non-diverging.
                 Some(at) if at < d.len => {
-                    let mut spec = self.walk_speculative(id);
-                    for _ in 0..at {
-                        spec.next_instr();
-                    }
-                    let mut tail = PackedTrace::from_stream(&mut spec);
+                    walk.pack_until(at, &mut actual, &memo);
+                    let mut tail = presized(d.len - at);
+                    walk.speculative_from_here(at).pack_into(&mut tail, &memo);
                     tail.shrink_to_fit();
                     (Some(at), tail)
                 }
                 _ => (None, PackedTrace::new()),
             };
+            walk.pack_into(&mut actual, &memo);
+            actual.shrink_to_fit();
             PackedEvent::new(actual, diverge_at, tail)
         });
         PackedWorkload::new(
@@ -75,6 +76,13 @@ impl GeneratedWorkload {
     pub fn materialise(&self) -> PackedWorkload {
         self.materialise_par(1)
     }
+}
+
+/// An empty trace with room for `instrs` generated instructions. Under
+/// half of a generated stream carries an operand word (memory slots and
+/// control flow), so the operand array rarely regrows.
+fn presized(instrs: u64) -> PackedTrace {
+    PackedTrace::with_capacity(instrs as usize, instrs as usize / 2)
 }
 
 /// Cache key: profile (or imported-trace) name, target instruction
@@ -212,7 +220,15 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esp_trace::{record_stream, Workload};
+    use esp_trace::{record_stream, EventStream, Workload};
+
+    /// Serialises the tests that reset or seat the process-wide memo:
+    /// another test's `reset` landing between a seat and its check would
+    /// fail the check spuriously.
+    fn memo_guard() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn profile() -> BenchmarkProfile {
         // Small but non-trivial: enough events for diverging ones to
@@ -278,8 +294,84 @@ mod tests {
         }
     }
 
+    /// The reference packing: every instruction of the single-step
+    /// `next_instr` stream pushed one at a time, the speculative tail
+    /// re-walked from the event's start.
+    fn reference_event(w: &GeneratedWorkload, d: &crate::EventDetail) -> PackedEvent {
+        let id = EventId::new(d.index);
+        let actual = PackedTrace::from_stream(&mut w.walk_actual(id));
+        match d.diverge_at {
+            Some(at) if at < d.len => {
+                let mut spec = w.walk_speculative(id);
+                for _ in 0..at {
+                    spec.next_instr();
+                }
+                PackedEvent::new(actual, Some(at), PackedTrace::from_stream(&mut spec))
+            }
+            _ => PackedEvent::new(actual, None, PackedTrace::new()),
+        }
+    }
+
+    #[test]
+    fn packed_emitter_matches_single_step_streams() {
+        let mut diverging = 0;
+        for pr in BenchmarkProfile::all_families() {
+            for seed in [42, 7, 3] {
+                let w = pr.scaled(30_000).build(seed);
+                let p = w.materialise();
+                for (i, d) in w.schedule().details().iter().enumerate() {
+                    let want = reference_event(&w, d);
+                    assert_eq!(p.arena().event(i), &want, "{} seed {seed} event {i}", pr.name());
+                    diverging += usize::from(want.diverge_at().is_some());
+                }
+            }
+        }
+        assert!(diverging > 0, "the sweep must cover a diverging event");
+    }
+
+    #[test]
+    fn packed_emitter_cuts_budgets_and_divergence_mid_run() {
+        // Every budget length and every divergence point over the first
+        // few hundred instructions: most of them fall inside a body run.
+        let w = profile().build(42);
+        let d0 = w.schedule().details()[0];
+        let memo = SlotMemo::new(w.image());
+        let open = |d: &crate::EventDetail, speculative: bool| {
+            crate::EventWalk::new(w.image(), w.params(), d, speculative)
+        };
+        let pack = |d: &crate::EventDetail, speculative: bool| {
+            let mut walk = open(d, speculative);
+            let mut out = PackedTrace::new();
+            walk.pack_into(&mut out, &memo);
+            assert_eq!(walk.next_instr(), None, "pack_into drains the walk");
+            out
+        };
+        for len in 1..400 {
+            let d = crate::EventDetail { len, diverge_at: None, ..d0 };
+            let want = PackedTrace::from_stream(&mut open(&d, false));
+            assert_eq!(pack(&d, false), want, "budget {len}");
+        }
+        for at in 0..300 {
+            let d = crate::EventDetail { len: 400, diverge_at: Some(at), ..d0 };
+            let want = PackedTrace::from_stream(&mut open(&d, true));
+            assert_eq!(pack(&d, true), want, "divergence at {at}");
+            // A speculative copy taken at the divergence point packs the
+            // same tail as a speculative walk re-walked to that point.
+            let mut actual = open(&d, false);
+            actual.pack_until(at, &mut PackedTrace::new(), &memo);
+            let mut tail = PackedTrace::new();
+            actual.speculative_from_here(at).pack_into(&mut tail, &memo);
+            let mut spec = open(&d, true);
+            for _ in 0..at {
+                spec.next_instr();
+            }
+            assert_eq!(tail, PackedTrace::from_stream(&mut spec), "tail from {at}");
+        }
+    }
+
     #[test]
     fn cache_returns_shared_arcs() {
+        let _memo = memo_guard();
         reset();
         let pr = BenchmarkProfile::gdocs().scaled(30_000);
         let g1 = generated(&pr, 5);
@@ -298,6 +390,7 @@ mod tests {
 
     #[test]
     fn imported_arena_substitutes_for_generation() {
+        let _memo = memo_guard();
         reset();
         let pr = BenchmarkProfile::iot_fsm().scaled(20_000);
         let built = packed_for(&pr, 3, 1);
@@ -332,6 +425,7 @@ mod tests {
 
     #[test]
     fn import_reads_and_seats_from_a_file() {
+        let _memo = memo_guard();
         reset();
         let pr = BenchmarkProfile::server_async().scaled(15_000);
         let built = packed_for(&pr, 8, 1);

@@ -8,6 +8,11 @@ pub(crate) const CODE_BASE: u64 = 0x0400_0000;
 /// Architectural instruction width in bytes.
 pub(crate) const INSTR_BYTES: u64 = 4;
 
+/// Address of image instruction slot `slot`.
+pub(crate) fn slot_pc(slot: u32) -> Addr {
+    Addr::new(CODE_BASE + slot as u64 * INSTR_BYTES)
+}
+
 /// How a basic block ends.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Terminator {
@@ -50,11 +55,13 @@ pub enum Terminator {
 }
 
 /// One basic block: `body_len` straight-line instruction slots followed
-/// by one terminator slot.
+/// by one terminator slot. Sixteen bytes; the image keeps every block of
+/// every function in one flat array.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Block {
-    /// Address of the first instruction.
-    pub start: Addr,
+    /// Instruction-slot index of the first instruction, counted from the
+    /// image base (slot `s` sits at `CODE_BASE + 4 s`).
+    pub start: u32,
     /// Number of non-control body instructions.
     pub body_len: u16,
     /// The control instruction ending the block.
@@ -62,9 +69,19 @@ pub struct Block {
 }
 
 impl Block {
+    /// Address of the first instruction.
+    pub fn start_pc(&self) -> Addr {
+        slot_pc(self.start)
+    }
+
+    /// The slot just past the block (the next block's start).
+    pub(crate) fn end_slot(&self) -> u32 {
+        self.start + self.body_len as u32 + 1
+    }
+
     /// Address of the terminator instruction.
     pub fn term_pc(&self) -> Addr {
-        self.start + self.body_len as u64 * INSTR_BYTES
+        self.start_pc() + self.body_len as u64 * INSTR_BYTES
     }
 
     /// Total bytes occupied by the block.
@@ -73,13 +90,16 @@ impl Block {
     }
 }
 
-/// One generated function: contiguous blocks, ending in a `Return` block.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One generated function: a contiguous range of the image's blocks,
+/// the last of which ends in `Return`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Function {
     /// Entry address (== first block's start).
     pub entry: Addr,
-    /// The function's basic blocks in layout order.
-    pub blocks: Vec<Block>,
+    /// Index of the function's first block in [`CodeImage::blocks`].
+    pub first: u32,
+    /// Number of blocks.
+    pub len: u16,
 }
 
 /// The whole generated program text: every function of the application
@@ -102,6 +122,7 @@ pub struct Function {
 pub struct CodeImage {
     seed: u64,
     functions: Vec<Function>,
+    blocks: Vec<Block>,
     footprint_bytes: u64,
     n_shared: u32,
     kind_pool_permille: u32,
@@ -124,15 +145,20 @@ impl CodeImage {
 
         let n_shared = (n_fns as u64 * params.shared_pool_permille as u64 / 1000).max(1) as u32;
         let mut functions = Vec::with_capacity(n_fns as usize);
-        let mut cursor = CODE_BASE;
+        // Functions draw fewer than `2 * mean_blocks_per_fn` blocks each.
+        let max_blocks = n_fns as usize * 2 * params.mean_blocks_per_fn as usize;
+        let mut blocks = Vec::with_capacity(max_blocks);
         for idx in 0..n_fns {
-            let f = Self::build_function(params, &mut rng, &mut cursor, idx, n_fns, n_shared);
+            let f = Self::build_function(params, &mut rng, &mut blocks, idx, n_fns, n_shared);
             functions.push(f);
         }
+        blocks.shrink_to_fit();
+        let footprint_bytes = blocks.last().map_or(0, Block::end_slot) as u64 * INSTR_BYTES;
         CodeImage {
             seed,
             functions,
-            footprint_bytes: cursor - CODE_BASE,
+            blocks,
+            footprint_bytes,
             n_shared,
             kind_pool_permille: params.kind_pool_permille,
             dispatch_targets: params.dispatch_targets,
@@ -142,14 +168,15 @@ impl CodeImage {
     fn build_function(
         params: &WorkloadParams,
         rng: &mut Xoshiro256pp,
-        cursor: &mut u64,
+        blocks: &mut Vec<Block>,
         fn_idx: u32,
         n_fns: u32,
         n_shared: u32,
     ) -> Function {
         let n_blocks = rng.range(2, 2 * params.mean_blocks_per_fn as u64) as u16;
-        let entry = Addr::new(*cursor);
-        let mut blocks = Vec::with_capacity(n_blocks as usize);
+        let first = blocks.len() as u32;
+        let mut start = blocks.last().map_or(0, Block::end_slot);
+        let entry = slot_pc(start);
         for b in 0..n_blocks {
             let body_len = rng.range(1, 2 * params.mean_block_len as u64 + 1) as u16;
             let term = if b == n_blocks - 1 {
@@ -157,11 +184,11 @@ impl CodeImage {
             } else {
                 Self::draw_terminator(params, rng, b, n_blocks, fn_idx, n_fns, n_shared)
             };
-            let block = Block { start: Addr::new(*cursor), body_len, term };
-            *cursor += block.size_bytes();
+            let block = Block { start, body_len, term };
+            start = block.end_slot();
             blocks.push(block);
         }
-        Function { entry, blocks }
+        Function { entry, first, len: n_blocks }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -241,6 +268,22 @@ impl CodeImage {
     /// Panics if `idx` is out of range.
     pub fn function(&self, idx: u32) -> &Function {
         &self.functions[idx as usize]
+    }
+
+    /// Every block of the image in layout order; function `f` owns
+    /// `blocks()[f.first .. f.first + f.len]`.
+    pub fn blocks(&self) -> &[Block] {
+        &self.blocks
+    }
+
+    /// The blocks of function `idx` in layout order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn function_blocks(&self, idx: u32) -> &[Block] {
+        let f = self.function(idx);
+        &self.blocks[f.first as usize..f.first as usize + f.len as usize]
     }
 
     /// Total code bytes.
@@ -323,15 +366,21 @@ mod tests {
         let ratio = img.footprint_bytes() as f64 / p.code_footprint_bytes as f64;
         assert!((0.5..1.5).contains(&ratio), "ratio={ratio}");
         // Blocks within a function are contiguous; functions too.
+        // The flat block array tiles the image.
         let mut expected = CODE_BASE;
+        let mut next_block = 0;
         for fi in 0..img.n_functions() {
             let f = img.function(fi);
+            assert_eq!(f.first, next_block, "function {fi} does not follow its predecessor");
             assert_eq!(f.entry.as_u64(), expected);
-            for b in &f.blocks {
-                assert_eq!(b.start.as_u64(), expected);
+            for b in img.function_blocks(fi) {
+                assert_eq!(b.start_pc().as_u64(), expected);
                 expected += b.size_bytes();
             }
+            next_block += f.len as u32;
         }
+        assert_eq!(next_block as usize, img.blocks().len());
+        assert_eq!(expected - CODE_BASE, img.footprint_bytes());
     }
 
     #[test]
@@ -342,16 +391,19 @@ mod tests {
         for i in 0..a.n_functions() {
             assert_eq!(a.function(i), b.function(i));
         }
+        assert_eq!(a.blocks(), b.blocks());
         let c = CodeImage::build(&WorkloadParams::web_default(), 8);
-        assert_ne!(a.function(0), c.function(0));
+        assert_ne!(a.function_blocks(0), c.function_blocks(0));
     }
 
     #[test]
     fn every_function_ends_in_return() {
         let img = image();
         for fi in 0..img.n_functions() {
-            let f = img.function(fi);
-            assert_eq!(f.blocks.last().unwrap().term, Terminator::Return);
+            let blocks = img.function_blocks(fi);
+            assert_eq!(blocks.last().unwrap().term, Terminator::Return);
+            // Only the last block returns.
+            assert!(blocks[..blocks.len() - 1].iter().all(|b| b.term != Terminator::Return));
         }
     }
 
@@ -359,11 +411,11 @@ mod tests {
     fn branch_targets_are_in_range() {
         let img = image();
         for fi in 0..img.n_functions() {
-            let f = img.function(fi);
-            for (bi, b) in f.blocks.iter().enumerate() {
+            let blocks = img.function_blocks(fi);
+            for (bi, b) in blocks.iter().enumerate() {
                 match b.term {
                     Terminator::CondSkip { skip, .. } => {
-                        assert!(bi + 1 + skip as usize <= f.blocks.len(), "skip target out of range");
+                        assert!(bi + 1 + skip as usize <= blocks.len(), "skip target out of range");
                     }
                     Terminator::LoopBack { to_block, .. } => {
                         assert!((to_block as usize) < bi);
@@ -388,7 +440,7 @@ mod tests {
         let img = image();
         let (mut cond, mut call, mut disp, mut lp, mut total) = (0u64, 0u64, 0u64, 0u64, 0u64);
         for fi in 0..img.n_functions() {
-            for b in &img.function(fi).blocks {
+            for b in img.function_blocks(fi) {
                 total += 1;
                 match b.term {
                     Terminator::CondSkip { .. } => cond += 1,
@@ -404,6 +456,12 @@ mod tests {
         assert!((0.10..0.30).contains(&f(call)), "call frac {}", f(call));
         assert!(f(disp) > 0.01 && f(disp) < 0.10, "dispatch frac {}", f(disp));
         assert!(f(lp) > 0.03, "loop frac {}", f(lp));
+    }
+
+    #[test]
+    fn blocks_and_functions_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Block>(), 16);
+        assert_eq!(std::mem::size_of::<Function>(), 16);
     }
 
     #[test]

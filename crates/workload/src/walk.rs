@@ -1,10 +1,21 @@
 //! The event walk: one event's deterministic instruction stream.
+//!
+//! A walk has two ways out. [`EventStream::next_instr`] steps one
+//! instruction at a time: the regenerative stream the `Workload` impl
+//! hands out. [`EventWalk::pack_into`] drains the walk straight into a
+//! [`PackedTrace`], writing each straight-line body run as kind bytes
+//! and operand words; that is how arenas are materialised. Both share
+//! one emission core: body slots decode through [`Thresholds`] and
+//! [`EventWalk::body_raw`], and terminators and the dispatcher always go
+//! through the single-step code.
 
-use crate::code::{CodeImage, Terminator, INSTR_BYTES};
+use crate::code::{slot_pc, Block, CodeImage, Terminator, INSTR_BYTES};
 use crate::schedule::EventDetail;
 use crate::WorkloadParams;
-use esp_trace::{EventStream, Instr};
+use esp_trace::kindbits::{FLAG_BIT, TAG_ALU, TAG_LOAD, TAG_STORE};
+use esp_trace::{EventStream, Instr, PackedTrace, RawStep};
 use esp_types::{Addr, EventKindId, Rng, SplitMix64, Xoshiro256pp};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Base of the (hot, small) stack region.
 const STACK_BASE: u64 = 0x7fff_0000;
@@ -16,6 +27,8 @@ const GLOBAL_BASE: u64 = 0x1000_0000;
 const KIND_BASE: u64 = 0x2000_0000;
 /// Base of the per-event heap regions.
 const HEAP_BASE: u64 = 0x4000_0000;
+/// Share of data accesses that hit the hot object block.
+const HOT_FRAC: f64 = 0.22;
 /// The event's work-item dispatcher: a three-instruction loop that pops
 /// the next work item and indirect-calls its root function. Roots return
 /// to `DISPATCH_RET`, which the call pushed on the RAS, so returns
@@ -27,9 +40,145 @@ const DISPATCH_RET: u64 = DISPATCH_PC + 8;
 /// Call-stack depth cap; deeper calls degrade to ALU slots.
 const MAX_DEPTH: usize = 14;
 
+/// The largest `t` in `0..=domain` with `x as f64 / domain as f64 < p`
+/// for every `x < t` — the integer form of a `fraction < p` test over a
+/// `domain`-valued hash field. Correctly rounded division is monotone in
+/// `x`, so the predicate holds on a prefix and `x < t` reproduces it
+/// exactly for every `x` in the domain.
+fn threshold(domain: u32, p: f64) -> u32 {
+    let (mut lo, mut hi) = (0u32, domain);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if (mid as f64 / domain as f64) < p {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The data model's static per-slot probabilities as integer thresholds
+/// over the slot hash's fields (see [`threshold`]); a body slot decodes
+/// with integer compares only.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Thresholds {
+    /// `h % 10_000 < load` → load.
+    load: u32,
+    /// Otherwise `h % 10_000 < load_store` → store.
+    load_store: u32,
+    /// `h >> 60 < chained` → a chained load.
+    chained: u32,
+    /// `(h >> 16) & 0xff < streaming` → a streaming access.
+    streaming: u32,
+    /// `(h >> 24) & 0x3ff < region[i]` → region `i` (stack, hot
+    /// objects, globals, kind data); past the last bound → heap.
+    region: [u32; 4],
+}
+
+impl Thresholds {
+    fn new(p: &WorkloadParams) -> Self {
+        // Cumulative region bounds, summed left to right as the f64
+        // chain `stack + hot + global + kind` does.
+        let stack = p.stack_frac;
+        let hot = stack + HOT_FRAC;
+        let global = hot + p.global_frac;
+        let kind = global + p.kind_frac;
+        Thresholds {
+            load: threshold(10_000, p.load_frac),
+            load_store: threshold(10_000, p.load_frac + p.store_frac),
+            chained: threshold(16, p.chained_frac),
+            streaming: threshold(256, p.streaming_frac),
+            region: [stack, hot, global, kind].map(|f| threshold(1024, f)),
+        }
+    }
+
+    /// Decodes a body slot from its static hash.
+    fn decode(&self, h: u64) -> SlotDecode {
+        let roll = (h % 10_000) as u32;
+        let tag = if roll < self.load {
+            TAG_LOAD
+        } else if roll < self.load_store {
+            TAG_STORE
+        } else {
+            return SlotDecode(SlotDecode::KNOWN | TAG_ALU);
+        };
+        let chained = tag == TAG_LOAD && ((h >> 60) as u32) < self.chained;
+        let bits = h >> 16;
+        let streaming = ((bits & 0xff) as u32) < self.streaming;
+        let region_roll = ((bits >> 8) & 0x3ff) as u32;
+        let region = self.region.iter().take_while(|&&r| region_roll >= r).count() as u8;
+        SlotDecode(
+            SlotDecode::KNOWN
+                | tag
+                | if chained { FLAG_BIT } else { 0 }
+                | if streaming { SlotDecode::STREAMING } else { 0 }
+                | region << SlotDecode::REGION_SHIFT,
+        )
+    }
+}
+
+/// A body slot's static decode in one byte: the packed kind byte it
+/// emits (an ALU, load or store tag in bits 0-1, the chained flag in
+/// [`FLAG_BIT`]) plus, for memory slots, the streaming bit and the data
+/// region (bits 5-7). Bit 2, which no body tag uses, is always set, so
+/// a zeroed [`SlotMemo`] entry means "not decoded yet".
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct SlotDecode(u8);
+
+impl SlotDecode {
+    const KNOWN: u8 = 0b0000_0100;
+    const KIND_MASK: u8 = 0b0000_0011 | FLAG_BIT;
+    const STREAMING: u8 = 0b0001_0000;
+    const REGION_SHIFT: u32 = 5;
+
+    /// The kind byte a [`PackedTrace`] stores for this slot.
+    fn kind(self) -> u8 {
+        self.0 & Self::KIND_MASK
+    }
+
+    fn streaming(self) -> bool {
+        self.0 & Self::STREAMING != 0
+    }
+
+    /// 0 stack, 1 hot objects, 2 globals, 3 kind data, 4 heap.
+    fn region(self) -> u8 {
+        self.0 >> Self::REGION_SHIFT
+    }
+}
+
+/// Static decodes of the image's body slots, filled in as one
+/// materialisation's walks reach them and dropped with it. Each entry is
+/// a pure function of its slot, so the walks of concurrent workers can
+/// share the memo: a racing second writer stores the same byte.
+pub(crate) struct SlotMemo(Vec<AtomicU8>);
+
+impl SlotMemo {
+    pub(crate) fn new(image: &CodeImage) -> Self {
+        let slots = (image.footprint_bytes() / INSTR_BYTES) as usize;
+        SlotMemo(std::iter::repeat_with(|| AtomicU8::new(0)).take(slots).collect())
+    }
+
+    /// The decode of image slot `slot`, computed by `decode` on first use.
+    #[inline(always)]
+    fn get_or(&self, slot: u32, decode: impl FnOnce() -> SlotDecode) -> SlotDecode {
+        let entry = &self.0[slot as usize];
+        match entry.load(Ordering::Relaxed) {
+            0 => {
+                let d = decode();
+                entry.store(d.0, Ordering::Relaxed);
+                d
+            }
+            known => SlotDecode(known),
+        }
+    }
+}
+
 #[derive(Clone, Debug)]
 struct Frame {
     func: u32,
+    /// The function's first block in the image's flat block array.
+    first: u32,
     block: u16,
     instr: u16,
     ret_to: Addr,
@@ -66,6 +215,7 @@ struct Frame {
 pub struct EventWalk<'a> {
     image: &'a CodeImage,
     params: &'a WorkloadParams,
+    thresholds: Thresholds,
     kind: EventKindId,
     event_index: u64,
     rng: Xoshiro256pp,
@@ -104,12 +254,12 @@ impl<'a> EventWalk<'a> {
             / params.mean_event_len.max(1))
         .clamp(8, 768) as u32;
         let pool = image.sample_event_pool(detail.kind, pool_size, &mut rng);
-        let handler = image.handler_of_kind(detail.kind);
         let global_window = rng.below((params.global_bytes - 4 * 1024).max(1)) & !63;
         let kind_window = rng.below((params.kind_bytes.saturating_sub(4 * 1024)).max(1)) & !63;
         let mut walk = EventWalk {
             image,
             params,
+            thresholds: Thresholds::new(params),
             kind: detail.kind,
             event_index: detail.index,
             rng,
@@ -125,18 +275,26 @@ impl<'a> EventWalk<'a> {
             budget: detail.len,
             diverge_at: if speculative { detail.diverge_at } else { None },
             diverged: false,
+            // The handler is entered through the dispatcher, so the
+            // first emitted instructions are the dispatcher's.
             dispatch_step: 1,
         };
         walk.reseat_data_state();
-        // The handler itself is entered through the dispatcher, so the
-        // first emitted instructions are the dispatcher's; `handler` is
-        // what the first dispatch call will invoke.
-        let _ = handler;
         walk
     }
 
-    fn new_frame(&mut self, func: u32, ret_to: Addr) -> Frame {
-        Frame { func, block: 0, instr: 0, ret_to, loops: Vec::new() }
+    fn new_frame(&self, func: u32, ret_to: Addr) -> Frame {
+        let first = self.image.function(func).first;
+        Frame { func, first, block: 0, instr: 0, ret_to, loops: Vec::new() }
+    }
+
+    /// The speculative view of this walk's event, resuming from this
+    /// walk's current position. Valid while the walk has not passed the
+    /// divergence point `at` (the views agree up to it); the returned
+    /// walk veers off at `at`.
+    pub(crate) fn speculative_from_here(&self, at: u64) -> Self {
+        debug_assert!(self.diverge_at.is_none() && self.emitted <= at);
+        EventWalk { diverge_at: Some(at), ..self.clone() }
     }
 
     /// Starts a new work item: re-seats the stream walk and the hot
@@ -167,96 +325,188 @@ impl<'a> EventWalk<'a> {
         KIND_BASE + self.kind.index() as u64 * self.params.kind_bytes
     }
 
-    /// Static per-slot hash: identical for every dynamic execution of the
-    /// same instruction slot.
-    fn slot_hash(&self, label: u64, frame: &Frame) -> u64 {
-        let slot = ((frame.func as u64) << 28) | ((frame.block as u64) << 12) | frame.instr as u64;
-        SplitMix64::derive(self.image.seed() ^ label, slot)
+    /// Static decode of body slot `instr` of block `block` in function
+    /// `func`: identical for every dynamic execution of the slot.
+    fn decode_slot(&self, func: u32, block: u16, instr: u16) -> SlotDecode {
+        let slot = ((func as u64) << 28) | ((block as u64) << 12) | instr as u64;
+        self.thresholds.decode(SplitMix64::derive(self.image.seed() ^ 0x0B0D, slot))
     }
 
-    fn emit_body(&mut self, pc: Addr) -> Instr {
-        let frame = self.frames.last().expect("emit_body with no frame");
-        let h = self.slot_hash(0x0B0D, frame);
-        let roll = (h % 10_000) as f64 / 10_000.0;
-        let (is_load, is_store) = if roll < self.params.load_frac {
-            (true, false)
-        } else if roll < self.params.load_frac + self.params.store_frac {
-            (false, true)
-        } else {
-            (false, false)
-        };
-        if !is_load && !is_store {
-            return Instr::alu(pc);
+    /// Emits one body slot as its packed kind byte and operand word (the
+    /// data address; 0 for ALUs).
+    #[inline(always)]
+    fn body_raw(&mut self, d: SlotDecode) -> (u8, u64) {
+        let kind = d.kind();
+        if kind == TAG_ALU {
+            return (kind, 0);
         }
-        let addr = self.data_address(h >> 16);
-        if is_load {
-            let chained = (h >> 60) as f64 / 16.0 < self.params.chained_frac;
-            Instr::load(pc, Addr::new(addr), chained)
-        } else {
-            Instr::store(pc, Addr::new(addr))
-        }
+        (kind, self.data_address(d))
     }
 
-    fn data_address(&mut self, static_bits: u64) -> u64 {
+    #[inline(always)]
+    fn data_address(&mut self, d: SlotDecode) -> u64 {
         // Streaming decision is static per slot; the stream position is
         // per-work-item dynamic state.
-        let streaming = (static_bits & 0xff) as f64 / 256.0 < self.params.streaming_frac;
-        if streaming {
+        if d.streaming() {
             // 8-byte element walks: eight accesses per cache line, so the
             // stride/DCU prefetchers have a pattern worth catching.
             let a = self.stream_base + self.stream_count as u64 * 8;
             self.stream_count += 1;
             return a;
         }
-        let region = ((static_bits >> 8) & 0x3ff) as f64 / 1024.0;
-        let p = self.params;
-        let hot_frac = 0.22;
-        let (base, span) = if region < p.stack_frac {
-            (STACK_BASE - STACK_SPAN, STACK_SPAN)
-        } else if region < p.stack_frac + hot_frac {
+        let (base, span) = match d.region() {
+            0 => (STACK_BASE - STACK_SPAN, STACK_SPAN),
             // Hot objects under manipulation: high L1 locality.
-            (self.hot_base, 512)
-        } else if region < p.stack_frac + hot_frac + p.global_frac {
+            1 => (self.hot_base, 512),
             // A per-event window into the globals, not the whole region:
             // real events manipulate a bounded slice of shared state.
-            (GLOBAL_BASE + self.global_window, 4 * 1024)
-        } else if region < p.stack_frac + hot_frac + p.global_frac + p.kind_frac {
-            (self.kind_base() + self.kind_window, 4 * 1024)
-        } else {
+            2 => (GLOBAL_BASE + self.global_window, 4 * 1024),
+            3 => (self.kind_base() + self.kind_window, 4 * 1024),
             // A bounded window of the event's fresh heap (cold on first
             // touch, reused afterwards).
-            (self.heap_base(), p.heap_per_event.min(4 * 1024))
+            _ => (self.heap_base(), self.params.heap_per_event.min(4 * 1024)),
         };
         base + (self.rng.below(span.max(8)) & !7)
+    }
+
+    /// Block `block` of the function whose first block is `first`.
+    fn block_at(&self, first: u32, block: u16) -> &'a Block {
+        let image: &'a CodeImage = self.image;
+        &image.blocks()[first as usize + block as usize]
+    }
+
+    /// Emits the next instruction through the single-step path; the
+    /// caller has checked the budget.
+    fn step(&mut self) -> Instr {
+        self.maybe_diverge();
+        let instr = match self.frames.last() {
+            // Between work items the walk runs the dispatcher loop.
+            None => self.emit_dispatcher(),
+            Some(frame) => {
+                let b = self.block_at(frame.first, frame.block);
+                if frame.instr < b.body_len {
+                    let (func, block, instr) = (frame.func, frame.block, frame.instr);
+                    let d = self.decode_slot(func, block, instr);
+                    let pc = slot_pc(b.start + instr as u32).as_u64();
+                    let (kind, op) = self.body_raw(d);
+                    self.frames.last_mut().expect("frame").instr += 1;
+                    RawStep { kind, pc, op }.to_instr()
+                } else {
+                    self.emit_terminator()
+                }
+            }
+        };
+        self.emitted += 1;
+        instr
+    }
+
+    fn maybe_diverge(&mut self) {
+        if !self.diverged && self.diverge_at == Some(self.emitted) {
+            // The pre-execution veers off the real path: every dynamic
+            // decision from here on comes from an unrelated stream.
+            self.rng = Xoshiro256pp::seed_from_u64(SplitMix64::derive(self.seed, 0xD1FF));
+            self.diverged = true;
+        }
+    }
+
+    /// Drains the rest of the walk into `out` (see
+    /// [`EventWalk::pack_until`]).
+    pub(crate) fn pack_into(&mut self, out: &mut PackedTrace, memo: &SlotMemo) {
+        self.pack_until(u64::MAX, out, memo);
+    }
+
+    /// Packs the walk into `out` until `limit` instructions have been
+    /// emitted in total or the budget runs out, storing exactly what
+    /// pushing each [`EventStream::next_instr`] would. Straight-line body
+    /// runs are written in one loop with their static decodes taken from
+    /// `memo`; terminators, the dispatcher and the divergence point take
+    /// the single-step path.
+    pub(crate) fn pack_until(&mut self, limit: u64, out: &mut PackedTrace, memo: &SlotMemo) {
+        let end = limit.min(self.budget);
+        while self.emitted < end {
+            self.maybe_diverge();
+            let body_left = self.frames.last().map_or(0, |f| {
+                self.block_at(f.first, f.block).body_len - f.instr
+            });
+            if body_left == 0 {
+                let i = self.step();
+                out.push(&i);
+                continue;
+            }
+            let mut n = (body_left as u64).min(end - self.emitted);
+            if let (false, Some(at)) = (self.diverged, self.diverge_at) {
+                // Stop short of the divergence point: it reseeds the RNG.
+                n = n.min(at - self.emitted);
+            }
+            self.pack_body(n as u16, out, memo);
+        }
+    }
+
+    /// Writes the next `n` body slots of the current block into `out`.
+    fn pack_body(&mut self, n: u16, out: &mut PackedTrace, memo: &SlotMemo) {
+        let f = self.frames.last().expect("body run with no frame");
+        let (func, block, instr) = (f.func, f.block, f.instr);
+        let slot0 = self.block_at(f.first, block).start + instr as u32;
+        out.push_run(slot_pc(slot0).as_u64(), n as usize, |k| {
+            let k = k as u16;
+            let d = memo.get_or(slot0 + k as u32, || self.decode_slot(func, block, instr + k));
+            self.body_raw(d)
+        });
+        self.frames.last_mut().expect("frame").instr += n;
+        self.emitted += n as u64;
+    }
+
+    /// The dispatcher's next slot: loop back, pop a work item, or
+    /// indirect-call its root function.
+    fn emit_dispatcher(&mut self) -> Instr {
+        match self.dispatch_step {
+            0 => {
+                // Loop back to the dispatcher head after a root
+                // returned to DISPATCH_RET.
+                self.dispatch_step = 1;
+                Instr::cond_branch(Addr::new(DISPATCH_RET), true, Addr::new(DISPATCH_PC))
+            }
+            1 => {
+                self.dispatch_step = 2;
+                Instr::alu(Addr::new(DISPATCH_PC))
+            }
+            _ => {
+                // Pick the next work item and indirect-call its root.
+                self.dispatch_step = 0;
+                let func = if self.emitted <= 2 {
+                    self.image.handler_of_kind(self.kind)
+                } else {
+                    self.pool[self.rng.below(self.pool.len() as u64) as usize]
+                };
+                self.reseat_data_state();
+                let entry = self.image.function(func).entry;
+                let frame = self.new_frame(func, Addr::new(DISPATCH_RET));
+                self.frames.push(frame);
+                Instr::indirect_call(Addr::new(DISPATCH_CALL), entry)
+            }
+        }
     }
 
     /// Handles the terminator slot of the current block, emitting its
     /// control instruction and updating frame state.
     fn emit_terminator(&mut self) -> Instr {
-        let (term, pc, block_idx, n_blocks) = {
-            let frame = self.frames.last().expect("terminator with no frame");
-            let f = self.image.function(frame.func);
-            let b = &f.blocks[frame.block as usize];
-            (b.term, b.term_pc(), frame.block, f.blocks.len() as u16)
-        };
-        match term {
+        let frame = self.frames.last().expect("terminator with no frame");
+        let (func, first, block_idx) = (frame.func, frame.first, frame.block);
+        let b = self.block_at(first, block_idx);
+        let pc = b.term_pc();
+        match b.term {
             Terminator::FallThrough => {
                 self.advance();
                 Instr::alu(pc)
             }
             Terminator::CondSkip { taken_permille, skip } => {
                 let taken = self.rng.below(1000) < taken_permille as u64;
+                let n_blocks = self.image.function(func).len;
                 let target_block = (block_idx + 1 + skip as u16).min(n_blocks - 1);
-                let frame = self.frames.last().expect("frame");
-                let target = self.image.function(frame.func).blocks[target_block as usize].start;
+                let target = self.block_at(first, target_block).start_pc();
                 let frame = self.frames.last_mut().expect("frame");
-                if taken {
-                    frame.block = target_block;
-                    frame.instr = 0;
-                } else {
-                    frame.block += 1;
-                    frame.instr = 0;
-                }
+                frame.block = if taken { target_block } else { block_idx + 1 };
+                frame.instr = 0;
                 Instr::cond_branch(pc, taken, target)
             }
             Terminator::LoopBack { to_block, mean_trips } => {
@@ -277,7 +527,7 @@ impl<'a> EventWalk<'a> {
                 } else {
                     0
                 };
-                let target = self.image.function(frame.func).blocks[to_block as usize].start;
+                let target = self.block_at(first, to_block).start_pc();
                 let frame = self.frames.last_mut().expect("frame");
                 if needs_draw {
                     frame.loops.push((block_idx, trips));
@@ -367,59 +617,7 @@ impl<'a> EventWalk<'a> {
 
 impl EventStream for EventWalk<'_> {
     fn next_instr(&mut self) -> Option<Instr> {
-        if self.emitted >= self.budget {
-            return None;
-        }
-        if !self.diverged && self.diverge_at == Some(self.emitted) {
-            // The pre-execution veers off the real path: every dynamic
-            // decision from here on comes from an unrelated stream.
-            self.rng = Xoshiro256pp::seed_from_u64(SplitMix64::derive(self.seed, 0xD1FF));
-            self.diverged = true;
-        }
-        if self.frames.is_empty() {
-            // Between work items the walk runs the dispatcher loop.
-            let instr = match self.dispatch_step {
-                0 => {
-                    // Loop back to the dispatcher head after a root
-                    // returned to DISPATCH_RET.
-                    self.dispatch_step = 1;
-                    Instr::cond_branch(Addr::new(DISPATCH_RET), true, Addr::new(DISPATCH_PC))
-                }
-                1 => {
-                    self.dispatch_step = 2;
-                    Instr::alu(Addr::new(DISPATCH_PC))
-                }
-                _ => {
-                    // Pick the next work item and indirect-call its root.
-                    self.dispatch_step = 0;
-                    let func = if self.emitted <= 2 {
-                        self.image.handler_of_kind(self.kind)
-                    } else {
-                        self.pool[self.rng.below(self.pool.len() as u64) as usize]
-                    };
-                    self.reseat_data_state();
-                    let entry = self.image.function(func).entry;
-                    let frame = self.new_frame(func, Addr::new(DISPATCH_RET));
-                    self.frames.push(frame);
-                    Instr::indirect_call(Addr::new(DISPATCH_CALL), entry)
-                }
-            };
-            self.emitted += 1;
-            return Some(instr);
-        }
-        let frame = self.frames.last().expect("frame");
-        let f = self.image.function(frame.func);
-        let b = &f.blocks[frame.block as usize];
-        let instr = if frame.instr < b.body_len {
-            let pc = b.start + frame.instr as u64 * INSTR_BYTES;
-            let i = self.emit_body(pc);
-            self.frames.last_mut().expect("frame").instr += 1;
-            i
-        } else {
-            self.emit_terminator()
-        };
-        self.emitted += 1;
-        Some(instr)
+        (self.emitted < self.budget).then(|| self.step())
     }
 
     fn executed(&self) -> u64 {
@@ -456,6 +654,77 @@ mod tests {
 
     fn collect(walk: &mut EventWalk<'_>, n: usize) -> Vec<Instr> {
         (0..n).map_while(|_| walk.next_instr()).collect()
+    }
+
+    /// Every built-in profile's parameters, plus the generic default.
+    fn all_params() -> Vec<WorkloadParams> {
+        let mut v: Vec<WorkloadParams> =
+            crate::BenchmarkProfile::all_families().iter().map(|p| p.params().clone()).collect();
+        v.push(WorkloadParams::web_default());
+        v
+    }
+
+    #[test]
+    fn integer_thresholds_match_the_f64_predicates() {
+        // The f64 tests the data model is specified by, verbatim over
+        // each hash field's whole domain.
+        for p in all_params() {
+            let t = Thresholds::new(&p);
+            for x in 0..10_000u32 {
+                let roll = x as f64 / 10_000.0;
+                assert_eq!(x < t.load, roll < p.load_frac, "load at {x}");
+                assert_eq!(x < t.load_store, roll < p.load_frac + p.store_frac, "store at {x}");
+            }
+            for x in 0..16u32 {
+                assert_eq!(x < t.chained, (x as f64) / 16.0 < p.chained_frac, "chained {x}");
+            }
+            for x in 0..256u32 {
+                let streaming = (x as f64) / 256.0 < p.streaming_frac;
+                assert_eq!(x < t.streaming, streaming, "streaming at {x}");
+            }
+            let bounds = [
+                p.stack_frac,
+                p.stack_frac + HOT_FRAC,
+                p.stack_frac + HOT_FRAC + p.global_frac,
+                p.stack_frac + HOT_FRAC + p.global_frac + p.kind_frac,
+            ];
+            for x in 0..1024u32 {
+                let region = x as f64 / 1024.0;
+                for (i, &b) in bounds.iter().enumerate() {
+                    assert_eq!(x < t.region[i], region < b, "region bound {i} at {x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_covers_the_domain_edges() {
+        assert_eq!(threshold(16, 0.0), 0);
+        assert_eq!(threshold(16, -1.0), 0);
+        assert_eq!(threshold(16, 1.0), 16);
+        assert_eq!(threshold(16, 2.0), 16);
+        assert_eq!(threshold(16, 0.25), 4);
+        assert_eq!(threshold(16, 0.2501), 5);
+    }
+
+    #[test]
+    fn slot_decode_round_trips_its_fields() {
+        let (image, params) = setup();
+        let w = EventWalk::new(&image, &params, &detail(10, None), false);
+        let mut seen = [false; 3];
+        for f in 0..200 {
+            for instr in 0..12 {
+                let d = w.decode_slot(f, 0, instr);
+                assert_ne!(d.0, 0, "a decode must never look like an empty memo entry");
+                let tag = d.kind() & esp_trace::kindbits::TAG_MASK;
+                seen[tag as usize] = true;
+                assert!(d.region() <= 4);
+                if tag != TAG_LOAD {
+                    assert_eq!(d.kind() & FLAG_BIT, 0, "only loads chain");
+                }
+            }
+        }
+        assert_eq!(seen, [true; 3], "ALU, load and store slots all occur");
     }
 
     #[test]

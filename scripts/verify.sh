@@ -33,8 +33,9 @@ cargo test -q --release -p esp-bench --test determinism
 echo "== intra-run: chunk-parallel merge == serial bytes (reports + traces) =="
 cargo test -q --release -p esp-bench --test intra_determinism
 
-echo "== packed arena: bit-equivalence vs regenerative streams =="
+echo "== packed arena: bit-equivalence vs regenerative streams + generator pin =="
 cargo test -q --release -p esp-bench --test packed_equivalence
+cargo test -q --release --test generator_pin
 
 echo "== sampling: accuracy + thread-count determinism (esp-sample) =="
 cargo test -q --release -p esp-bench --test sampling_error
