@@ -8,7 +8,7 @@
 //! repro explain <benchmark-or-trace ...>
 //! repro [--scale N] [--seed S] [--fuzz N] [--fuzz-espt N] check
 //! repro [--scale N] [--seed S] dump [NAMES-OR-TRACES...] [--trace-out DIR]
-//! repro [--scale N] [--seed S] [--threads T] [--intra-threads K] [--force] [--repeat N] bench
+//! repro [--scale N] [--seed S] [--threads T] [--force] [--repeat N] bench
 //! ```
 //!
 //! `--scale` is the per-benchmark instruction budget (default 400 000);
@@ -50,20 +50,17 @@
 //! generator never invoked; `explain` and `dump` accept trace paths
 //! anywhere a benchmark name is expected. Imported arenas replay
 //! byte-identically to generated ones (the trace-import equivalence
-//! suite pins this in all four execution modes).
+//! suite pins this in the exact, sampled and learned modes).
 //!
 //! Performance (see `docs/PERFORMANCE.md`): `bench` runs the full
 //! evaluation matrix three times — cold at one thread, warm at
 //! `--threads` (skipped, with a JSON note, when only one core is
-//! visible), and warm in statistical-sampling mode — then a fourth,
-//! intra-run pass that chunks each profile's *single* baseline run
-//! across `--intra-threads` workers (`docs/PARALLELISM.md`), and
-//! writes a `BENCH_repro.json` with per-phase wall times
+//! visible), and warm in statistical-sampling mode — and writes a
+//! `BENCH_repro.json` with per-phase wall times
 //! (generate/materialise/simulate), arena resident bytes, exact and
-//! sampled throughput, the sampled run's measured CPI error against
-//! exact ground truth, and the intra pass's chunk/conflict accounting
-//! with serial-vs-chunked single-run throughput. `scripts/bench.sh`
-//! wraps the documented scale-600000 invocation.
+//! sampled throughput, and the sampled run's measured CPI error against
+//! exact ground truth. `scripts/bench.sh` wraps the documented
+//! scale-600000 invocation.
 //!
 //! Sampling (the `esp-sample` engine, `--sample-period` /
 //! `--sample-grain`): any figure run can trade exactness for speed by
@@ -84,7 +81,6 @@ fn main() -> ExitCode {
     let mut scale: u64 = 400_000;
     let mut seed: u64 = 42;
     let mut threads: Option<usize> = None;
-    let mut intra_threads: Option<usize> = None;
     let mut trace: Option<PathBuf> = None;
     let mut trace_ins: Vec<PathBuf> = Vec::new();
     let mut trace_out: Option<PathBuf> = None;
@@ -103,8 +99,8 @@ fn main() -> ExitCode {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => scale = v,
-                None => return usage("--scale needs an integer"),
+                Some(v) if v > 0 => scale = v,
+                _ => return usage("--scale needs a positive integer"),
             },
             "--seed" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) => seed = v,
@@ -113,10 +109,6 @@ fn main() -> ExitCode {
             "--threads" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) if v > 0 => threads = Some(v),
                 _ => return usage("--threads needs a positive integer"),
-            },
-            "--intra-threads" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => intra_threads = Some(v),
-                _ => return usage("--intra-threads needs a positive integer"),
             },
             "--trace" => match args.next() {
                 Some(p) => trace = Some(p.into()),
@@ -182,6 +174,7 @@ fn main() -> ExitCode {
                 _ => return usage("--learn-bound needs a positive number of percent"),
             },
             "--help" | "-h" => return usage(""),
+            other if other.starts_with("--") => return usage(&format!("unknown option {other}")),
             other => wanted.push(other.to_string()),
         }
     }
@@ -229,7 +222,6 @@ fn main() -> ExitCode {
                 scale,
                 seed,
                 threads,
-                intra_threads,
                 force,
                 repeat,
                 sample_grain,
@@ -572,7 +564,6 @@ fn bench(
     scale: u64,
     seed: u64,
     threads: Option<usize>,
-    intra_threads: Option<usize>,
     force: bool,
     repeat: usize,
     sample_grain: u64,
@@ -772,87 +763,6 @@ fn bench(
         errs_l.len()
     );
 
-    // Pass 4: intra-run (single-run) scaling — the second parallelism
-    // axis (docs/PARALLELISM.md). Each profile's single run is chunked
-    // across `--intra-threads` workers and merged deterministically;
-    // the pass records chunk size, conflict accounting, and serial vs
-    // chunk-parallel sims/s. On a 1-core host the accounting (a pure
-    // function of the thread count) is still meaningful, but the wall
-    // times are not a scaling measurement — noted in the JSON.
-    let threads_intra = intra_threads.unwrap_or(if cores > 1 { cores } else { 4 });
-    eprintln!(
-        "# bench pass 4: intra-run scaling, {threads_intra} chunk workers, best of {repeat}..."
-    );
-    let intra = exact.intra_scaling(threads_intra, repeat);
-    let intra_rate = intra.conflict_rate();
-    eprintln!(
-        "# pass 4: {} runs, {} events, {} chunks ({} accepted, {} repaired, \
-         conflict rate {:.2}); serial {:.2}s vs intra {:.2}s",
-        intra.runs,
-        intra.events,
-        intra.chunks,
-        intra.accepted,
-        intra.repaired,
-        intra_rate,
-        intra.seconds_1t,
-        intra.seconds_nt,
-    );
-    let intra_conflicts = intra
-        .conflicts
-        .iter()
-        .map(|(r, n)| format!("\"{r}\": {n}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let intra_note = if cores > 1 {
-        String::new()
-    } else {
-        format!("\n    \"note\": \"wall times measured on {cores} visible core; not a scaling number\",")
-    };
-    // Per-family chunk/conflict tables: the aggregate hides which
-    // workloads chunk cleanly and which repair everything.
-    let intra_profiles = intra
-        .per_profile
-        .iter()
-        .map(|p| {
-            let conflicts = p
-                .conflicts
-                .iter()
-                .map(|(r, n)| format!("\"{r}\": {n}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "\"{}\": {{\"events\": {}, \"chunks\": {}, \"accepted\": {}, \
-                 \"repaired\": {}, \"conflict_rate\": {:.3}, \"conflicts\": {{{conflicts}}}}}",
-                p.name,
-                p.events,
-                p.chunks,
-                p.accepted,
-                p.repaired,
-                p.conflict_rate(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n      ");
-    let intra_json = format!(
-        "\n  \"intra\": {{\"threads\": {threads_intra}, \"runs\": {}, \"events\": {}, \
-         \"events_per_chunk\": {:.1},\n    \
-         \"chunks\": {}, \"accepted\": {}, \"repaired\": {}, \"conflict_rate\": {intra_rate:.3},\n    \
-         \"conflicts\": {{{intra_conflicts}}},{intra_note}\n    \
-         \"per_profile\": {{\n      {intra_profiles}\n    }},\n    \
-         \"seconds_1t\": {:.3}, \"seconds_nt\": {:.3}, \
-         \"sims_per_sec_1t\": {:.3}, \"sims_per_sec_nt\": {:.3}}},",
-        intra.runs,
-        intra.events,
-        intra.events as f64 / intra.chunks.max(1) as f64,
-        intra.chunks,
-        intra.accepted,
-        intra.repaired,
-        intra.seconds_1t,
-        intra.seconds_nt,
-        intra.runs as f64 / intra.seconds_1t.max(1e-9),
-        intra.runs as f64 / intra.seconds_nt.max(1e-9),
-    );
-
     // Trace I/O: what a consumer of exported `.espt` files pays
     // (decode-only import) versus what this process paid to build the
     // same arenas (generate + materialise, cold pass 1 numbers).
@@ -883,7 +793,7 @@ fn bench(
     // workload), so its numbers are only meaningful next to their scale.
     let effective_mips = sampled.instructions_simulated() as f64 / total_s.max(1e-9) / 1e6;
     let json = format!(
-        "{{\n  \"scale\": {scale},\n  \"seed\": {seed},\n  \"threads\": 1,{nt_json}{intra_json}{trace_io_json}\n  \
+        "{{\n  \"scale\": {scale},\n  \"seed\": {seed},\n  \"threads\": 1,{nt_json}{trace_io_json}\n  \
          \"repeat\": {repeat},\n  \"sims_run\": {sims},\n  \
          \"instructions_simulated\": {instrs},\n  \
          \"total_seconds\": {total_1t:.3},\n  \
@@ -1060,8 +970,8 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: repro [--scale N] [--seed S] [--threads T] [--intra-threads K] \
-         [--trace FILE.jsonl] [--trace-in FILE.espt ...] [--trace-out DIR] [--cpi-stack] \
+        "usage: repro [--scale N] [--seed S] [--threads T] [--trace FILE.jsonl] \
+         [--trace-in FILE.espt ...] [--trace-out DIR] [--cpi-stack] \
          [--force] [--fuzz N] [--fuzz-espt N] [--repeat N] [--sample-period P] [--sample-grain G] \
          [--learn] [--learn-model ridge|gbm] [--learn-train N] [--learn-suffix N] [--learn-bound F] \
          <all | fig3 fig6 fig7 fig8 fig9 fig10 fig11a fig11b fig12 fig13 fig14 | ablate \
@@ -1084,12 +994,10 @@ fn usage(err: &str) -> ExitCode {
          dump prints every selected workload's RunReports for cross-process\n\
          determinism checks (default: all 9 families);\n\
          bench runs the full matrix cold at 1 thread, warm at --threads (skipped on a\n\
-         1-core machine), warm in sampled then learned mode with error cross-checks,\n\
-         then an\n\
-         intra-run pass chunking each single run over --intra-threads workers (each\n\
-         pass best of --repeat, default 3), measures .espt export/import against\n\
+         1-core machine), warm in sampled then learned mode with error cross-checks\n\
+         (each pass best of --repeat, default 3), measures .espt export/import against\n\
          generate+materialise, and records all passes in BENCH_repro.json\n\
-         (docs/PERFORMANCE.md, docs/PARALLELISM.md, docs/TRACE_FORMAT.md)"
+         (docs/PERFORMANCE.md, docs/ARCHITECTURE.md, docs/TRACE_FORMAT.md)"
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -23,5 +23,5 @@ pub mod figures;
 pub mod runner;
 pub mod source;
 
-pub use runner::{ConfigKey, FigureReport, IntraProfile, IntraScaling, PhaseSeconds, Runner};
+pub use runner::{ConfigKey, FigureReport, PhaseSeconds, Runner};
 pub use source::WorkloadSpec;

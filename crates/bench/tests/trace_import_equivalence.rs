@@ -4,7 +4,7 @@
 //! is cleared so nothing generated survives, and the files are imported
 //! back. From then on the imported runner must be byte-identical to the
 //! generated one through every execution mode: exact simulation at any
-//! thread count, statistical sampling, intra-run chunked execution, the
+//! thread count, statistical sampling, learned fast-forwarding, the
 //! CPI-stack JSON, and the JSONL observability trace. A single diverging
 //! byte means the container dropped information.
 //!
@@ -13,7 +13,7 @@
 //! in the same binary would race it.
 
 use esp_bench::{ConfigKey, Runner, WorkloadSpec};
-use esp_core::{SampleParams, Simulator};
+use esp_core::{LearnParams, SampleParams};
 use esp_trace::espt::{self, TraceMeta};
 use esp_workload::{arena, BenchmarkProfile};
 use std::path::PathBuf;
@@ -132,25 +132,32 @@ fn imported_traces_are_byte_identical_to_generated() {
         );
     }
 
-    // --- Intra-run event-level parallelism: chunked execution over the
-    // imported packed form matches the generated one at every width.
-    let gen_again = Runner::with_profiles(&families, SCALE, SEED, 1);
-    let imp_again = Runner::from_specs(&specs, SCALE, SEED, 1).expect("import");
+    // --- Learned mode: the skip/warm ladder is driven by features of the
+    // same packed bytes, so its decisions and estimates must agree too.
+    // Finer grains than above give every slot enough stretches to train
+    // the model and skip.
+    let sp = SampleParams::new(250, 10);
+    let mut gen_learned = Runner::with_profiles(&families, SCALE, SEED, 2);
+    gen_learned.set_sampling(Some(sp));
+    gen_learned.set_learned(Some(LearnParams::default()));
+    gen_learned.ensure(&[ConfigKey::EspNl]);
+    let mut imp_learned = Runner::from_specs(&specs, SCALE, SEED, 2).expect("import");
+    imp_learned.set_sampling(Some(sp));
+    imp_learned.set_learned(Some(LearnParams::default()));
+    imp_learned.ensure(&[ConfigKey::EspNl]);
     for (i, name) in want_names.iter().enumerate() {
-        for threads in [2usize, 3] {
-            let cfg = ConfigKey::EspNl.config();
-            let a = Simulator::new(cfg.clone()).run_intra(gen_again.packed(i).as_ref(), threads);
-            let b = Simulator::new(cfg).run_intra(imp_again.packed(i).as_ref(), threads);
-            assert_eq!(
-                format!("{:#?}", a.report),
-                format!("{:#?}", b.report),
-                "intra report diverged: slot {name} width {threads}"
-            );
-            assert_eq!(
-                a.stats.repaired, b.stats.repaired,
-                "intra repair count diverged: slot {name}"
-            );
-        }
+        assert_eq!(
+            format!("{:#?}", gen_learned.run(i, ConfigKey::EspNl)),
+            format!("{:#?}", imp_learned.run(i, ConfigKey::EspNl)),
+            "learned report diverged: slot {name}"
+        );
+        let stats = gen_learned.learned_stats(i, ConfigKey::EspNl).expect("learned cell");
+        assert!(stats.skipped_grains > 0, "slot {name} never skipped");
+        assert_eq!(
+            format!("{stats:#?}"),
+            format!("{:#?}", imp_learned.learned_stats(i, ConfigKey::EspNl).expect("learned cell")),
+            "learned statistics diverged: slot {name}"
+        );
     }
 
     std::fs::remove_dir_all(&dir).ok();

@@ -34,7 +34,7 @@ impl Counter2 {
 /// predictor abstains and the local predictor decides. Entries are
 /// allocated on branches the local predictor got wrong, mirroring how the
 /// Pentium M's global predictor filters for history-correlated branches.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct GlobalPredictor {
     tags: Vec<u16>,
     valid: Vec<bool>,
@@ -78,7 +78,7 @@ impl GlobalPredictor {
 
 /// The bimodal local predictor (4k entries): a PC-indexed table of 2-bit
 /// counters; the fallback when the global predictor abstains.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct LocalPredictor {
     counters: Vec<Counter2>,
     /// Tracks whether the entry was ever trained, so cold predictions can
@@ -114,7 +114,7 @@ impl LocalPredictor {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default)]
 struct LoopEntry {
     tag: u16,
     valid: bool,
@@ -129,7 +129,7 @@ struct LoopEntry {
 /// The loop predictor (256 entries): learns fixed trip counts and predicts
 /// the final not-taken iteration of counted loops, which global/local
 /// history predictors systematically miss.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct LoopPredictor {
     entries: Vec<LoopEntry>,
 }
@@ -185,7 +185,7 @@ impl LoopPredictor {
 /// The branch target buffer for direct branches (2k entries, tagged).
 /// A taken branch whose target is absent from the BTB is a front-end
 /// misprediction even when the direction was right.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Btb {
     tags: Vec<u32>,
     targets: Vec<Addr>,
@@ -223,7 +223,7 @@ impl Btb {
 
 /// The indirect branch target buffer (256 entries), indexed by PIR ^ PC so
 /// the same dispatch site can hold different targets on different paths.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct IndirectBtb {
     tags: Vec<u16>,
     targets: Vec<Addr>,
@@ -258,7 +258,7 @@ impl IndirectBtb {
 /// The return address stack. ESP clears it when leaving a speculative
 /// mode, because it may hold return addresses pushed by pre-executed
 /// functions (§4.1, "Exiting ESP mode").
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct ReturnStack {
     stack: Vec<Addr>,
     capacity: usize,

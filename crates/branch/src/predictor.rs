@@ -45,7 +45,7 @@ pub enum ContextPolicy {
     SeparateTables,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 struct Tables {
     global: GlobalPredictor,
     local: LocalPredictor,
@@ -470,21 +470,6 @@ impl BranchPredictor {
         self.pirs[PredictorContext::Normal.idx()] = cp.pir;
         self.ras.copy_from(&cp.ras);
         self.record(BpOp::Restore);
-    }
-
-    /// Whether `self` and `other` hold identical *predictive* state:
-    /// every table set, the context-to-table assignment, all PIRs, the
-    /// replay PIR, and the RAS. Statistics and the side-effect log are
-    /// deliberately excluded — two predictors that agree on this method
-    /// produce identical outcomes for any subsequent input sequence.
-    /// The intra-run merge uses it to decide whether an optimistically
-    /// warmed worker's predictor matches the authoritative one.
-    pub fn same_state(&self, other: &Self) -> bool {
-        self.tables == other.tables
-            && self.table_of == other.table_of
-            && self.pirs == other.pirs
-            && self.replay_pir == other.replay_pir
-            && self.ras == other.ras
     }
 
     /// Event-completion shift: the ESP-2 context's state follows its event

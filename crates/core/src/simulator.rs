@@ -43,28 +43,6 @@ pub struct SideEffectLog {
     pub bp_stats: [(PredictorContext, BranchStats); 3],
 }
 
-/// The complete mutable state of one in-progress simulation: the interval
-/// engine plus the mode-specific speculation state that travels with it
-/// between events.
-///
-/// The serial driver owns exactly one of these for a whole run; the
-/// intra-run parallel mode (see `intra`) gives each chunk worker its own
-/// and moves the authoritative one forward chunk by chunk. Keeping the
-/// quadruple together is what lets [`Simulator::run_events_range`] resume
-/// a run mid-sequence: everything event `k+1` can observe from event `k`
-/// is in here (or in the memory hierarchy and branch predictor inside
-/// `engine`).
-pub(crate) struct LiveState<'w> {
-    /// The interval core: clock, caches, predictor, prefetchers, stack.
-    pub engine: Engine,
-    /// ESP contexts and list state (ESP modes only).
-    pub esp: Option<EspState<'w>>,
-    /// The normal-mode list replay cursor.
-    pub replay: ReplayState,
-    /// Lists promoted at the last event completion, to arm on the next.
-    pub pending_lists: Option<ReplayLists>,
-}
-
 /// The ESP simulator: one machine configuration, runnable over any
 /// [`Workload`].
 ///
@@ -142,11 +120,17 @@ impl Simulator {
         (report, log.expect("recording was requested"))
     }
 
-    /// Builds the initial [`LiveState`] of a run over `workload`: a fresh
-    /// engine plus the mode's speculation state, leads configured.
-    pub(crate) fn new_live<'w>(&self, workload: &'w dyn Workload) -> LiveState<'w> {
-        let engine = Engine::new(self.config.engine.clone());
-        let esp: Option<EspState<'w>> = match &self.config.mode {
+    /// The per-event loop behind [`Simulator::run_probed`] and
+    /// [`Simulator::run_logged`]; `log_effects` turns on side-effect
+    /// recording in the memory hierarchy and branch predictor.
+    fn run_inner<P: Probe>(
+        &self,
+        workload: &dyn Workload,
+        probe: &mut P,
+        log_effects: bool,
+    ) -> (RunReport, Option<SideEffectLog>) {
+        let mut engine = Engine::new(self.config.engine.clone());
+        let mut esp: Option<EspState<'_>> = match &self.config.mode {
             SimMode::Esp(f) => Some(EspState::new(*f, workload)),
             _ => None,
         };
@@ -154,26 +138,99 @@ impl Simulator {
         if let Some(f) = self.config.esp_features() {
             replay.set_leads(f.prefetch_lead_instrs, f.bp_train_lead_branches);
         }
-        LiveState { engine, esp, replay, pending_lists: None }
-    }
-
-    fn run_inner<P: Probe>(
-        &self,
-        workload: &dyn Workload,
-        probe: &mut P,
-        record: bool,
-    ) -> (RunReport, Option<SideEffectLog>) {
-        let mut live = self.new_live(workload);
-        if record {
-            live.engine.mem_mut().set_recording(true);
-            live.engine.bp_mut().set_recording(true);
+        let mut pending_lists: Option<ReplayLists> = None;
+        if log_effects {
+            engine.mem_mut().set_recording(true);
+            engine.bp_mut().set_recording(true);
         }
         let events = workload.events();
         // Reused across events: cleared in O(1), allocation kept.
         let mut iws = LineSet::new();
         let mut dws = LineSet::new();
-        self.run_events_range(workload, &mut live, 0..events.len(), probe, &mut iws, &mut dws);
-        let LiveState { mut engine, esp, replay, .. } = live;
+        let measure = self.config.esp_features().is_some_and(|f| f.measure_working_sets);
+        let ideal = self.config.esp_features().is_some_and(|f| f.ideal);
+        let line_bytes = self.config.engine.machine.hierarchy.l1i.line_bytes;
+        // Lower the configuration once: the packed event loop runs the
+        // fused kernel through this flat parameter block + kind table.
+        let kernel_params = engine.lower_kernel();
+        let kind_table = KindTable::<P>::new(&kernel_params);
+        let n_looper = self.config.looper_instrs as u64;
+
+        for (idx, record) in events.iter().enumerate() {
+            let span_start = engine.now();
+            let stack_before = *engine.cpi_stack();
+            let retired_before = engine.stats().retired;
+            let mut span_windows = 0u64;
+
+            // The looper cannot dequeue an event before it is posted.
+            engine.idle_until(record.post_time);
+
+            // Arm replay with whatever the event's pre-execution gathered
+            // and use the looper prologue as the prefetch head start.
+            replay.arm(pending_lists.take(), ideal, &mut engine);
+            for i in 0..n_looper {
+                replay.tick(&mut engine, 0, 0);
+                engine.step_probed(&Self::looper_instr(idx, i), probe);
+            }
+
+            // Dispatch once per event, not once per instruction: packed
+            // workloads run the *fused kernel* loop over a concrete arena
+            // cursor (raw kind bytes through the lowered dispatch table),
+            // everything else the generic decoded loop over its boxed
+            // stream. Both instantiations perform the same engine-call
+            // sequence, so the outputs are bit-identical.
+            span_windows += match workload.as_packed() {
+                Some(packed) => {
+                    let mut stream =
+                        packed.arena().event(record.id.index() as usize).actual_cursor();
+                    self.run_event_kernel(
+                        &mut stream,
+                        idx,
+                        &mut engine,
+                        &mut esp,
+                        &mut replay,
+                        probe,
+                        measure,
+                        &kernel_params,
+                        &kind_table,
+                        &mut iws,
+                        &mut dws,
+                    )
+                }
+                None => {
+                    let mut stream = workload.actual_stream(record.id);
+                    self.run_event(
+                        &mut stream,
+                        idx,
+                        &mut engine,
+                        &mut esp,
+                        &mut replay,
+                        probe,
+                        measure,
+                        line_bytes,
+                        &mut iws,
+                        &mut dws,
+                    )
+                }
+            };
+
+            if let Some(esp) = esp.as_mut() {
+                if measure {
+                    esp.record_normal_working_set(iws.len(), dws.len());
+                }
+                pending_lists = esp.on_event_complete(idx + 1);
+                engine.bp_mut().promote_event();
+            }
+
+            probe.on_event(&EventSpan {
+                idx: idx as u64,
+                start: span_start,
+                end: engine.now(),
+                retired: engine.stats().retired - retired_before,
+                windows: span_windows,
+                stack: engine.cpi_stack().since(&stack_before),
+            });
+        }
 
         let mem_snap = engine.mem().snapshot();
         let (esp_branches, esp_mispredicts) = {
@@ -181,7 +238,7 @@ impl Simulator {
             let b2 = engine.bp().stats(PredictorContext::Esp2);
             (b1.total() + b2.total(), b1.mispredicted + b2.mispredicted)
         };
-        let log = record.then(|| SideEffectLog {
+        let log = log_effects.then(|| SideEffectLog {
             mem_ops: engine.mem_mut().take_ops(),
             mem_snapshot: mem_snap,
             bp_ops: engine.bp_mut().take_ops(),
@@ -202,117 +259,6 @@ impl Simulator {
             esp_mispredicts,
         });
         (report, log)
-    }
-
-    /// Runs events `range` (indices into `workload.events()`) on `live`,
-    /// the per-event loop of [`Simulator::run`] factored so a run can be
-    /// executed in resumable slices: calling this over `[0, n)` is
-    /// byte-identical to calling it over any partition of `[0, n)` in
-    /// order on the same `live` state. The chunk-parallel mode leans on
-    /// exactly that property for its repair path, and on workers it calls
-    /// this with a chunk's range over a warm-predicted state.
-    ///
-    /// Emits window and event records to `probe` (no `on_run`; drivers
-    /// summarise once at end of run).
-    pub(crate) fn run_events_range<'w, P: Probe>(
-        &self,
-        workload: &'w dyn Workload,
-        live: &mut LiveState<'w>,
-        range: std::ops::Range<usize>,
-        probe: &mut P,
-        iws: &mut LineSet,
-        dws: &mut LineSet,
-    ) {
-        let measure = self
-            .config
-            .esp_features()
-            .is_some_and(|f| f.measure_working_sets);
-        let ideal = self.config.esp_features().is_some_and(|f| f.ideal);
-        let events = workload.events();
-        let line_bytes = self.config.engine.machine.hierarchy.l1i.line_bytes;
-        // Lower the configuration once: the packed event loop runs the
-        // fused kernel through this flat parameter block + kind table.
-        let kernel_params = live.engine.lower_kernel();
-        let kind_table = KindTable::<P>::new(&kernel_params);
-        let n_looper = self.config.looper_instrs as u64;
-        let LiveState { engine, esp, replay, pending_lists } = live;
-
-        for idx in range {
-            let record = &events[idx];
-            let span_start = engine.now();
-            let stack_before = *engine.cpi_stack();
-            let retired_before = engine.stats().retired;
-            let mut span_windows = 0u64;
-
-            // The looper cannot dequeue an event before it is posted.
-            engine.idle_until(record.post_time);
-
-            // Arm replay with whatever the event's pre-execution gathered
-            // and use the looper prologue as the prefetch head start.
-            replay.arm(pending_lists.take(), ideal, engine);
-            for i in 0..n_looper {
-                replay.tick(engine, 0, 0);
-                engine.step_probed(&Self::looper_instr(idx, i), probe);
-            }
-
-            // Dispatch once per event, not once per instruction: packed
-            // workloads run the *fused kernel* loop over a concrete arena
-            // cursor (raw kind bytes through the lowered dispatch table),
-            // everything else the generic decoded loop over its boxed
-            // stream. Both instantiations perform the same engine-call
-            // sequence, so the outputs are bit-identical.
-            span_windows += match workload.as_packed() {
-                Some(packed) => {
-                    let mut stream =
-                        packed.arena().event(record.id.index() as usize).actual_cursor();
-                    self.run_event_kernel(
-                        &mut stream,
-                        idx,
-                        engine,
-                        esp,
-                        replay,
-                        probe,
-                        measure,
-                        &kernel_params,
-                        &kind_table,
-                        iws,
-                        dws,
-                    )
-                }
-                None => {
-                    let mut stream = workload.actual_stream(record.id);
-                    self.run_event(
-                        &mut stream,
-                        idx,
-                        engine,
-                        esp,
-                        replay,
-                        probe,
-                        measure,
-                        line_bytes,
-                        iws,
-                        dws,
-                    )
-                }
-            };
-
-            if let Some(esp) = esp.as_mut() {
-                if measure {
-                    esp.record_normal_working_set(iws.len(), dws.len());
-                }
-                *pending_lists = esp.on_event_complete(idx + 1);
-                engine.bp_mut().promote_event();
-            }
-
-            probe.on_event(&EventSpan {
-                idx: idx as u64,
-                start: span_start,
-                end: engine.now(),
-                retired: engine.stats().retired - retired_before,
-                windows: span_windows,
-                stack: engine.cpi_stack().since(&stack_before),
-            });
-        }
     }
 
     /// The per-instruction loop of one event, monomorphised over the

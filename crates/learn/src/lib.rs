@@ -31,9 +31,9 @@
 //!
 //! The residual series also widens the ratio-estimator confidence
 //! intervals (`esp_stats::ResidualAccum::inflate`), and the model's
-//! rolling confidence is exported ([`LearnedStats::confidence`]) as a
-//! reusable signal for chunk-entry prediction in the intra-run parallel
-//! mode. See `docs/PERFORMANCE.md` ("Learned fast-forwarding").
+//! rolling confidence is reported with every run
+//! ([`LearnedStats::confidence`]). See `docs/PERFORMANCE.md` ("Learned
+//! fast-forwarding").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -292,89 +292,6 @@ impl SetAssocCache {
         true
     }
 
-    /// Behavioural equality at a chunk boundary: whether `self` and
-    /// `other` respond identically to every possible access sequence
-    /// issued at or after `ref_now`.
-    ///
-    /// Raw LRU stamps are *not* comparable across a functionally-warmed
-    /// cache and a detailed one (a detailed demand miss burns a stamp on
-    /// the access and another on the fill, where a warm touch burns one),
-    /// but the victim choice only depends on each set's stamp *rank
-    /// order* — stamps are drawn from a strictly increasing counter, so
-    /// valid ways never tie and any new stamp exceeds all existing ones.
-    /// Likewise the exact `ready` cycle of a line that settled before
-    /// `ref_now` can never matter again (fills only move `ready`
-    /// earlier). So two caches are behaviourally equal iff each set
-    /// holds the same valid lines, in the same recency order, with the
-    /// same prefetched bits, and agrees on which fills are still in
-    /// flight (and when those complete). Statistics are excluded — the
-    /// merge accounts for them as deltas.
-    pub fn boundary_eq(&self, other: &Self, ref_now: Cycle) -> bool {
-        if self.set_mask != other.set_mask || self.ways != other.ways {
-            return false;
-        }
-        let sets = (self.set_mask + 1) as usize;
-        // Scratch for one set's (stamp, way-index) pairs, recency-sorted.
-        let mut a: Vec<(u64, usize)> = Vec::with_capacity(self.ways);
-        let mut b: Vec<(u64, usize)> = Vec::with_capacity(self.ways);
-        for set in 0..sets {
-            let base = set * self.ways;
-            a.clear();
-            b.clear();
-            for w in 0..self.ways {
-                if self.tags[base + w] != 0 {
-                    a.push((self.meta[(base + w) * META + M_STAMP], base + w));
-                }
-                if other.tags[base + w] != 0 {
-                    b.push((other.meta[(base + w) * META + M_STAMP], base + w));
-                }
-            }
-            if a.len() != b.len() {
-                return false;
-            }
-            a.sort_unstable();
-            b.sort_unstable();
-            for (&(_, ia), &(_, ib)) in a.iter().zip(&b) {
-                if self.tags[ia] != other.tags[ib] {
-                    return false;
-                }
-                let ma = ia * META;
-                let mb = ib * META;
-                if self.meta[ma + M_PREFETCHED] != other.meta[mb + M_PREFETCHED] {
-                    return false;
-                }
-                let ra = self.meta[ma + M_READY];
-                let rb = other.meta[mb + M_READY];
-                let in_flight_a = ra > ref_now.as_u64();
-                let in_flight_b = rb > ref_now.as_u64();
-                if in_flight_a != in_flight_b || (in_flight_a && ra != rb) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Shifts every still-in-flight fill (`ready > ref_now`) `delta`
-    /// cycles later. The intra-run merge's accept step moves a whole
-    /// chunk-exit state forward in time as one rigid unit; in-flight
-    /// completion times are its only absolute-time component (settled
-    /// `ready` values are behaviourally dead — see
-    /// [`SetAssocCache::boundary_eq`]).
-    pub fn shift_in_flight(&mut self, ref_now: Cycle, delta: u64) {
-        if delta == 0 {
-            return;
-        }
-        for idx in 0..self.tags.len() {
-            if self.tags[idx] != 0 {
-                let ready = &mut self.meta[idx * META + M_READY];
-                if *ready > ref_now.as_u64() {
-                    *ready += delta;
-                }
-            }
-        }
-    }
-
     /// Drops `line` if resident. Returns whether it was present.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
         match self.find_way(self.set_base(line), self.key(line)) {

@@ -56,12 +56,6 @@ impl NextLineInstr {
     pub fn stats(&self) -> &PrefetchStats {
         &self.stats
     }
-
-    /// Whether `self` and `other` would issue identical prefetches for
-    /// any future fetch stream (statistics excluded).
-    pub fn same_state(&self, other: &Self) -> bool {
-        self.last_line == other.last_line
-    }
 }
 
 /// Intel-DCU-style next-line data prefetcher: after four consecutive
@@ -136,17 +130,9 @@ impl DcuNextLine {
     pub fn stats(&self) -> &PrefetchStats {
         &self.stats
     }
-
-    /// Whether `self` and `other` would issue identical prefetches for
-    /// any future access stream. The tracker entries and the LRU clock
-    /// both matter (the clock orders future evictions); statistics are
-    /// excluded.
-    pub fn same_state(&self, other: &Self) -> bool {
-        self.entries == other.entries && self.clock == other.clock
-    }
 }
 
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default)]
 struct StrideEntry {
     tag: u64,
     last_addr: Addr,
@@ -232,12 +218,6 @@ impl StridePrefetcher {
     /// Issue statistics.
     pub fn stats(&self) -> &PrefetchStats {
         &self.stats
-    }
-
-    /// Whether `self` and `other` would issue identical prefetches for
-    /// any future load stream (statistics excluded).
-    pub fn same_state(&self, other: &Self) -> bool {
-        self.mask == other.mask && self.entries == other.entries
     }
 }
 

@@ -11,11 +11,7 @@ use esp_types::EventId;
 /// a deeper jump), and later resumes **exactly where it left off** (§3.4,
 /// "Persisting Event Execution Contexts"). Implementations therefore carry
 /// all generator state internally.
-///
-/// Streams are `Send`: the intra-run parallel mode moves live cursors
-/// between the worker that simulated a chunk and the merging thread.
-/// Every implementation is plain owned data, so this costs nothing.
-pub trait EventStream: Send {
+pub trait EventStream {
     /// Produces the next instruction, or `None` when the event's handler
     /// returns to the looper.
     fn next_instr(&mut self) -> Option<Instr>;
@@ -165,8 +161,8 @@ impl<S: EventStream + ?Sized> ForkStream for Box<S> {
 /// divergence to model inter-event dependences.
 ///
 /// Workloads are `Sync`: one workload is shared by reference across the
-/// matrix workers and, within a single run, across the intra-run chunk
-/// workers. Implementations are immutable once built, so this is free.
+/// matrix workers, each simulating a different configuration over it.
+/// Implementations are immutable once built, so this is free.
 pub trait Workload: Sync {
     /// The events of the program in execution order.
     fn events(&self) -> &[EventRecord];

@@ -14,12 +14,8 @@
 # warm with learned fast-forwarding on top of sampling (--learn-* to
 # override the model; throughput, speedups vs exact and vs plain
 # sampling, error envelope, skip fraction, and fallback counters land
-# under "learned"). Pass 4 measures the second parallelism axis: each
-# profile's single baseline run chunked over --intra-threads workers
-# with deterministic merge (docs/PARALLELISM.md); its chunk/conflict
-# accounting and serial-vs-chunked single-run throughput land under
-# "intra" (with a per-family conflict table under "intra".per_profile).
-# A final trace-I/O pass exports every family to .espt files, clears
+# under "learned"). Pass 2 is the matrix-level parallelism described
+# in docs/ARCHITECTURE.md ("Execution modes"). A final trace-I/O pass exports every family to .espt files, clears
 # the arena memo, re-imports them, and records the wall times under
 # "trace_io" next to the generate/materialise phase seconds the import
 # path replaces (docs/TRACE_FORMAT.md). Exact and sampled throughput both land in
