@@ -118,7 +118,8 @@ impl FuzzCase {
     pub fn check(&self) -> Result<(), String> {
         let cfg = self.config();
         cfg.validate().map_err(|e| format!("invalid config: {e}"))?;
-        let w = self.workload();
+        // Every check below runs several configurations: pack once.
+        let w = self.workload().materialise();
         oracle::check_run(&cfg, &w).map_err(|e| format!("[oracle] {e}"))?;
         metamorphic::perfect_ordering(&w, false).map_err(|e| format!("[perfect-ordering] {e}"))?;
         metamorphic::cache_doubling(&w).map_err(|e| format!("[cache-doubling] {e}"))?;

@@ -20,9 +20,11 @@
 
 use esp_core::{RunReport, SimConfig, Simulator};
 use esp_obs::CpiObserver;
-use esp_trace::{EventRecord, EventStream, Workload};
+use esp_trace::{EventRecord, EventStream, PackedWorkload, Workload};
 use esp_types::{Cycle, EventId};
 use esp_uarch::PerfectFlags;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 fn run(config: SimConfig, workload: &dyn Workload) -> RunReport {
     Simulator::new(config).run(workload)
@@ -50,6 +52,9 @@ fn run_summary(config: SimConfig, workload: &dyn Workload) -> esp_obs::RunSummar
 ///
 /// Describes the first violated ordering link.
 pub fn perfect_ordering(workload: &dyn Workload, include_empirical: bool) -> Result<(), String> {
+    // Several runs over one workload: pack it once.
+    let packed = workload.to_packed();
+    let workload = &*packed;
     let base = run(SimConfig::base(), workload);
     let p_l1i = run(
         SimConfig::perfect(PerfectFlags { l1i: true, l1d: false, branch: false }),
@@ -109,6 +114,9 @@ pub fn perfect_ordering(workload: &dyn Workload, include_empirical: bool) -> Res
 ///
 /// Describes which cache (L1-I or L1-D) violated inclusion.
 pub fn cache_doubling(workload: &dyn Workload) -> Result<(), String> {
+    // Several runs over one workload: pack it once.
+    let packed = workload.to_packed();
+    let workload = &*packed;
     let base_cfg = SimConfig::base();
     let base = run_summary(base_cfg.clone(), workload);
 
@@ -185,6 +193,17 @@ impl Workload for NoPeekWorkload<'_> {
         self.inner.speculative_stream(id)
     }
 
+    /// The inner workload's arena under the re-timed records: the
+    /// instruction streams are unchanged, so nothing is re-packed.
+    fn to_packed(&self) -> Cow<'_, PackedWorkload> {
+        let inner = self.inner.to_packed();
+        Cow::Owned(PackedWorkload::new(
+            self.events.clone(),
+            Arc::clone(inner.arena()),
+            inner.approx_total_instructions(),
+        ))
+    }
+
     fn approx_total_instructions(&self) -> u64 {
         self.inner.approx_total_instructions()
     }
@@ -199,7 +218,7 @@ impl Workload for NoPeekWorkload<'_> {
 ///
 /// Describes the first diverging statistic.
 pub fn no_peek_esp_equals_baseline(workload: &dyn Workload) -> Result<(), String> {
-    let quiet = NoPeekWorkload::new(workload);
+    let quiet = NoPeekWorkload::new(workload).to_packed().into_owned();
     let esp = run(SimConfig::esp_nl(), &quiet);
     let base = run(SimConfig::next_line(), &quiet);
 
@@ -238,6 +257,9 @@ pub fn no_peek_esp_equals_baseline(workload: &dyn Workload) -> Result<(), String
 ///
 /// Describes the first diverging architectural count.
 pub fn runahead_arch_invariance(workload: &dyn Workload) -> Result<(), String> {
+    // Several runs over one workload: pack it once.
+    let packed = workload.to_packed();
+    let workload = &*packed;
     let base = run(SimConfig::base(), workload);
     let ra = run(SimConfig::runahead(), workload);
 

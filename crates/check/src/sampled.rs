@@ -61,6 +61,8 @@ pub fn check_sampled(
     tolerance_pct: f64,
 ) -> Result<SampledCheck, String> {
     let sim = Simulator::new(config.clone());
+    let packed = workload.to_packed();
+    let workload = &*packed;
     let exact = sim.run(workload);
     let sampled = sim.run_sampled(workload, params);
 
@@ -149,6 +151,8 @@ pub fn check_learned(
     tolerance_pct: f64,
 ) -> Result<LearnedCheck, String> {
     let sim = Simulator::new(config.clone());
+    let packed = workload.to_packed();
+    let workload = &*packed;
     let exact = sim.run(workload);
     let run = sim.run_sampled_learned(workload, params, learn);
 

@@ -17,7 +17,7 @@ use esp_branch::{PredictorContext, SpeculativeCheckpoint};
 use esp_lists::{AddrList, BList, ListCapacities};
 use esp_mem::{AccessResult, CacheConfig, Cachelet, CacheletSlot, SetAssocCache};
 use esp_obs::{CycleClass, NullProbe, Probe, WindowRecord, WindowSpender};
-use esp_trace::{EventCursor, EventRecord, EventStream, Instr, InstrKind, Workload};
+use esp_trace::{EventCursor, EventRecord, EventStream, PackedWorkload, Workload};
 use esp_types::{Cycle, LineAddr};
 use esp_uarch::{Engine, Stall, StallKind};
 
@@ -53,38 +53,10 @@ impl EspRunStats {
     }
 }
 
-/// A slot's resumable stream cursor. Packed workloads get the concrete
-/// arena cursor — one predictable match instead of a per-instruction
-/// virtual call, and the decode inlines into [`EspState::step_slot`] —
-/// while any other workload keeps its boxed stream. Both variants
-/// produce the same instruction sequence.
-enum SlotCursor<'w> {
-    Dyn(Box<dyn EventStream + 'w>),
-    Packed(EventCursor<'w>),
-}
-
-impl SlotCursor<'_> {
-    #[inline]
-    fn next_instr(&mut self) -> Option<Instr> {
-        match self {
-            SlotCursor::Dyn(c) => c.next_instr(),
-            SlotCursor::Packed(c) => c.next_instr(),
-        }
-    }
-
-    #[inline]
-    fn executed(&self) -> u64 {
-        match self {
-            SlotCursor::Dyn(c) => c.executed(),
-            SlotCursor::Packed(c) => c.executed(),
-        }
-    }
-}
-
 struct Slot<'w> {
     /// Absolute event index this slot pre-executes.
     event_idx: Option<u64>,
-    cursor: Option<SlotCursor<'w>>,
+    cursor: Option<EventCursor<'w>>,
     ilist: AddrList,
     dlist: AddrList,
     blist: BList,
@@ -193,7 +165,7 @@ impl SideCache {
 /// The ESP hardware state for one simulated core.
 pub(crate) struct EspState<'w> {
     features: EspFeatures,
-    workload: &'w dyn Workload,
+    workload: &'w PackedWorkload,
     slots: Vec<Slot<'w>>,
     /// Shared way-partitioned cachelets for ESP-1/ESP-2 (§4.2).
     cachelet_i: Cachelet,
@@ -210,7 +182,7 @@ pub(crate) struct EspState<'w> {
 }
 
 impl<'w> EspState<'w> {
-    pub fn new(features: EspFeatures, workload: &'w dyn Workload) -> Self {
+    pub fn new(features: EspFeatures, workload: &'w PackedWorkload) -> Self {
         features.validate().expect("invalid ESP features");
         let depth = features.depth;
         let slots = (0..depth).map(|i| Slot::empty(caps_for(i, features.ideal))).collect();
@@ -288,19 +260,14 @@ impl<'w> EspState<'w> {
         !slot.finished && !slot.blocked_until.is_after(t)
     }
 
-    fn ensure_started(&mut self, s: usize, current_idx: usize, events: &[EventRecord]) {
+    fn ensure_started(&mut self, s: usize, current_idx: usize) {
         if self.slots[s].started() {
             return;
         }
         let e = current_idx + 1 + s;
-        let id = events[e].id;
         self.slots[s].event_idx = Some(e as u64);
-        self.slots[s].cursor = Some(match self.workload.as_packed() {
-            Some(p) => {
-                SlotCursor::Packed(p.arena().event(id.index() as usize).speculative_cursor())
-            }
-            None => SlotCursor::Dyn(self.workload.speculative_stream(id)),
-        });
+        // The arena is indexed by schedule position, not event id.
+        self.slots[s].cursor = Some(self.workload.arena().event(e).speculative_cursor());
         self.stats.events_started += 1;
     }
 
@@ -356,7 +323,7 @@ impl<'w> EspState<'w> {
                 self.stats.wasted_window_cycles += (total_millis - spent) / 1000;
                 break;
             };
-            self.ensure_started(s, current_idx, events);
+            self.ensure_started(s, current_idx);
             loop {
                 if spent + base_millis > total_millis {
                     break 'window;
@@ -406,39 +373,18 @@ impl<'w> EspState<'w> {
         });
     }
 
-    /// Executes one instruction of slot `s` at time `t`. Packed cursors
-    /// take the raw-decode kernel path (no [`Instr`] materialised except
-    /// for branches); boxed streams keep the decoded path. Both perform
-    /// the same cachelet, bypass, predictor, and list calls in the same
-    /// order, so runs through either are byte-identical (asserted by
-    /// `packed_equivalence`).
+    /// Executes one instruction of slot `s` at time `t`, straight off
+    /// the packed arena (no [`esp_trace::Instr`] materialised except for
+    /// branches) — the window-spending half of the simulation kernels.
     fn step_slot(&mut self, s: usize, t: Cycle, base_millis: u64, engine: &mut Engine) -> SlotStep {
-        match self.slots[s].cursor.as_ref().expect("step_slot on unstarted slot") {
-            SlotCursor::Packed(_) => self.step_slot_raw(s, t, base_millis, engine),
-            SlotCursor::Dyn(_) => self.step_slot_instr(s, t, base_millis, engine),
-        }
-    }
-
-    /// The raw-decode twin of [`EspState::step_slot_instr`] for packed
-    /// cursors — the window-spending half of the specialised kernels.
-    fn step_slot_raw(
-        &mut self,
-        s: usize,
-        t: Cycle,
-        base_millis: u64,
-        engine: &mut Engine,
-    ) -> SlotStep {
         use esp_trace::kindbits::{TAG_COND, TAG_LOAD, TAG_MASK, TAG_STORE};
 
         let features = self.features;
-        let side = self.side_index(s);
         let measure = features.measure_working_sets;
         let record_lists = s < 2 || features.ideal;
 
         let slot = &mut self.slots[s];
-        let Some(SlotCursor::Packed(cursor)) = slot.cursor.as_mut() else {
-            unreachable!("step_slot_raw on a non-packed cursor");
-        };
+        let cursor = slot.cursor.as_mut().expect("step_slot on unstarted slot");
         let Some(rs) = cursor.next_raw() else {
             return SlotStep::Finished;
         };
@@ -464,32 +410,11 @@ impl<'w> EspState<'w> {
                     return SlotStep::Blocked(t + r.latency, millis);
                 }
             } else {
-                let result = match side {
-                    Some(i) => self.side_i[i].cache.access(fetch_line, t),
-                    None => {
-                        let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
-                        self.cachelet_i.access(cs, fetch_line, t)
-                    }
-                };
-                match result {
-                    AccessResult::Hit(_) => {}
-                    AccessResult::PartialHit(rem) => millis += rem * 1000,
-                    AccessResult::Miss => {
-                        let (lat, llc) = engine.mem().bypass_latency(fetch_line);
-                        let ready = if features.ideal { t } else { t + lat };
-                        match side {
-                            Some(i) => self.side_i[i].fill(fetch_line, t, ready),
-                            None => {
-                                let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
-                                self.cachelet_i.fill(cs, fetch_line, t, ready);
-                            }
-                        }
-                        if llc {
-                            return SlotStep::Blocked(t + lat, millis);
-                        }
-                        millis += lat * 1000;
-                    }
+                let (lat, llc) = self.isolated_access(s, false, fetch_line, t, engine);
+                if llc {
+                    return SlotStep::Blocked(t + lat, millis);
                 }
+                millis += lat * 1000;
             }
         }
 
@@ -531,204 +456,67 @@ impl<'w> EspState<'w> {
             if features.naive {
                 let r = engine.mem_mut().access_data(line, t, is_store);
                 if r.llc_miss {
-                    let slot = &mut self.slots[s];
-                    if !overlapped(slot) {
+                    if !overlapped(&mut self.slots[s]) {
                         return SlotStep::Blocked(t + r.latency, millis);
                     }
                 } else {
                     millis += r.latency.saturating_sub(2) * 1000;
                 }
             } else {
-                let result = match side {
-                    Some(i) => self.side_d[i].cache.access(line, t),
-                    None => {
-                        let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
-                        self.cachelet_d.access(cs, line, t)
-                    }
-                };
-                match result {
-                    AccessResult::Hit(_) => {}
-                    AccessResult::PartialHit(rem) => millis += rem * 1000,
-                    AccessResult::Miss => {
-                        let (lat, llc) = engine.mem().bypass_latency(line);
-                        let ready = if features.ideal { t } else { t + lat };
-                        match side {
-                            Some(i) => self.side_d[i].fill(line, t, ready),
-                            None => {
-                                let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
-                                self.cachelet_d.fill(cs, line, t, ready);
-                            }
-                        }
-                        if llc {
-                            let slot = &mut self.slots[s];
-                            if !overlapped(slot) {
-                                return SlotStep::Blocked(t + lat, millis);
-                            }
-                            // Overlapped miss: the fill proceeds in the
-                            // background while the pre-execution keeps
-                            // issuing, like any other OoO miss cluster.
-                        } else {
-                            millis += lat * 1000;
-                        }
-                    }
+                let (lat, llc) = self.isolated_access(s, true, line, t, engine);
+                if !llc {
+                    millis += lat * 1000;
+                } else if !overlapped(&mut self.slots[s]) {
+                    return SlotStep::Blocked(t + lat, millis);
                 }
+                // An overlapped miss fills in the background while the
+                // pre-execution keeps issuing, like any other OoO miss
+                // cluster.
             }
         }
 
         SlotStep::Ran(millis)
     }
 
-    /// The decoded-instruction slot step, kept for boxed (non-packed)
-    /// workload streams.
-    fn step_slot_instr(
+    /// One access of slot `s` to an instruction (`data` false) or data
+    /// line through its private storage — its cachelet partition, or its
+    /// side cache beyond depth 2 and in the ideal configuration — filling
+    /// from the hierarchy on a miss without touching it. Returns the
+    /// exposed latency in cycles and whether the line came from memory.
+    #[inline(always)]
+    fn isolated_access(
         &mut self,
         s: usize,
+        data: bool,
+        line: LineAddr,
         t: Cycle,
-        base_millis: u64,
-        engine: &mut Engine,
-    ) -> SlotStep {
-        let features = self.features;
+        engine: &Engine,
+    ) -> (u64, bool) {
         let side = self.side_index(s);
-        let measure = features.measure_working_sets;
-        let record_lists = s < 2 || features.ideal;
-
-        let slot = &mut self.slots[s];
-        let cursor = slot.cursor.as_mut().expect("step_slot on unstarted slot");
-        let Some(instr) = cursor.next_instr() else {
-            return SlotStep::Finished;
+        let ideal = self.features.ideal;
+        let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
+        let (cachelet, sides) = if data {
+            (&mut self.cachelet_d, &mut self.side_d)
+        } else {
+            (&mut self.cachelet_i, &mut self.side_i)
         };
-        let icount = cursor.executed() - 1;
-        let mut millis = base_millis;
-
-        // ---- instruction fetch ------------------------------------------
-        let fetch_line = instr.pc.line(64);
-        if slot.last_fetch_line != Some(fetch_line) {
-            slot.last_fetch_line = Some(fetch_line);
-            if measure {
-                slot.iws.insert(fetch_line.as_u64());
-            }
-            if features.ilist && record_lists {
-                slot.ilist.record(fetch_line, icount);
-            }
-            if features.naive {
-                // Naive ESP fetches straight into L1-I/L2, polluting them.
-                let r = engine.mem_mut().access_instr(fetch_line, t);
-                millis += r.latency.saturating_sub(2) * 1000;
-                if r.llc_miss {
-                    return SlotStep::Blocked(t + r.latency, millis);
+        let result = match side {
+            Some(i) => sides[i].cache.access(line, t),
+            None => cachelet.access(cs, line, t),
+        };
+        match result {
+            AccessResult::Hit(_) => (0, false),
+            AccessResult::PartialHit(rem) => (rem, false),
+            AccessResult::Miss => {
+                let (lat, llc) = engine.mem().bypass_latency(line);
+                let ready = if ideal { t } else { t + lat };
+                match side {
+                    Some(i) => sides[i].fill(line, t, ready),
+                    None => cachelet.fill(cs, line, t, ready),
                 }
-            } else {
-                let result = match side {
-                    Some(i) => self.side_i[i].cache.access(fetch_line, t),
-                    None => {
-                        let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
-                        self.cachelet_i.access(cs, fetch_line, t)
-                    }
-                };
-                match result {
-                    AccessResult::Hit(_) => {}
-                    AccessResult::PartialHit(rem) => millis += rem * 1000,
-                    AccessResult::Miss => {
-                        let (lat, llc) = engine.mem().bypass_latency(fetch_line);
-                        let ready = if features.ideal { t } else { t + lat };
-                        match side {
-                            Some(i) => self.side_i[i].fill(fetch_line, t, ready),
-                            None => {
-                                let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
-                                self.cachelet_i.fill(cs, fetch_line, t, ready);
-                            }
-                        }
-                        if llc {
-                            return SlotStep::Blocked(t + lat, millis);
-                        }
-                        millis += lat * 1000;
-                    }
-                }
+                (lat, llc)
             }
         }
-
-        // ---- branch ------------------------------------------------------
-        if instr.is_branch() {
-            let ctx = if features.naive {
-                PredictorContext::Normal
-            } else if s == 0 {
-                PredictorContext::Esp1
-            } else {
-                PredictorContext::Esp2
-            };
-            let outcome = engine.bp_mut().predict_and_update(ctx, &instr);
-            millis += engine.bp().penalty_of(outcome) * 1000;
-            if features.blist && record_lists {
-                self.slots[s].blist.record(&instr, icount);
-            }
-        }
-
-        // ---- data --------------------------------------------------------
-        if let InstrKind::Load { addr, .. } | InstrKind::Store { addr } = instr.kind {
-            let line = addr.line(64);
-            let is_store = matches!(instr.kind, InstrKind::Store { .. });
-            let slot = &mut self.slots[s];
-            if measure {
-                slot.dws.insert(line.as_u64());
-            }
-            if features.dlist && record_lists {
-                slot.dlist.record(line, icount);
-            }
-            let overlapped = |slot: &mut Slot<'_>| {
-                let within = slot
-                    .last_data_llc_at
-                    .is_some_and(|at| icount.saturating_sub(at) < 96);
-                slot.last_data_llc_at = Some(icount);
-                within
-            };
-            if features.naive {
-                let r = engine.mem_mut().access_data(line, t, is_store);
-                if r.llc_miss {
-                    let slot = &mut self.slots[s];
-                    if !overlapped(slot) {
-                        return SlotStep::Blocked(t + r.latency, millis);
-                    }
-                } else {
-                    millis += r.latency.saturating_sub(2) * 1000;
-                }
-            } else {
-                let result = match side {
-                    Some(i) => self.side_d[i].cache.access(line, t),
-                    None => {
-                        let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
-                        self.cachelet_d.access(cs, line, t)
-                    }
-                };
-                match result {
-                    AccessResult::Hit(_) => {}
-                    AccessResult::PartialHit(rem) => millis += rem * 1000,
-                    AccessResult::Miss => {
-                        let (lat, llc) = engine.mem().bypass_latency(line);
-                        let ready = if features.ideal { t } else { t + lat };
-                        match side {
-                            Some(i) => self.side_d[i].fill(line, t, ready),
-                            None => {
-                                let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
-                                self.cachelet_d.fill(cs, line, t, ready);
-                            }
-                        }
-                        if llc {
-                            let slot = &mut self.slots[s];
-                            if !overlapped(slot) {
-                                return SlotStep::Blocked(t + lat, millis);
-                            }
-                            // Overlapped miss: the fill proceeds in the
-                            // background while the pre-execution keeps
-                            // issuing, like any other OoO miss cluster.
-                        } else {
-                            millis += lat * 1000;
-                        }
-                    }
-                }
-            }
-        }
-
-        SlotStep::Ran(millis)
     }
 
     /// The event-completion context shift (§4.2): the ESP-2 event becomes
@@ -803,9 +591,10 @@ impl<'w> EspState<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esp_trace::{EventRecord, Instr, VecEventStream};
+    use esp_trace::{EventRecord, Instr, PackedEvent, PackedTrace, TraceArena};
     use esp_types::{Addr, EventId, EventKindId};
     use esp_uarch::{EngineConfig, StallKind};
+    use std::sync::Arc;
 
     #[test]
     fn recycled_side_cache_behaves_like_a_new_one() {
@@ -838,51 +627,37 @@ mod tests {
         }
     }
 
-    /// A tiny in-memory workload with fully controllable event streams.
-    struct ToyWorkload {
-        records: Vec<EventRecord>,
-        streams: Vec<Vec<Instr>>,
-    }
-
-    impl Workload for ToyWorkload {
-        fn events(&self) -> &[EventRecord] {
-            &self.records
-        }
-
-        fn actual_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
-            Box::new(VecEventStream::new(self.streams[id.index() as usize].clone()))
-        }
-
-        fn speculative_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
-            self.actual_stream(id)
-        }
-    }
-
-    fn toy(n_events: usize, instrs_per_event: usize) -> ToyWorkload {
+    /// A tiny packed workload of straight-line events with a cold load
+    /// every fifth instruction; `tweak` may edit the event records.
+    fn toy_with(n_events: u64, len: u64, tweak: impl FnOnce(&mut [EventRecord])) -> PackedWorkload {
         let mut records = Vec::new();
-        let mut streams = Vec::new();
+        let mut events = Vec::new();
         for e in 0..n_events {
             records.push(EventRecord {
-                id: EventId::new(e as u64),
+                id: EventId::new(e),
                 kind: EventKindId::new(0),
                 handler_pc: Addr::new(0x40_0000),
                 arg_addr: Addr::new(0x8000_0000),
-                approx_len: instrs_per_event as u64,
+                approx_len: len,
                 post_time: Cycle::ZERO,
                 order_mispredicted: false,
             });
-            let mut v = Vec::new();
-            for i in 0..instrs_per_event {
-                let pc = Addr::new(0x40_0000 + (e as u64) * 0x1_0000 + i as u64 * 4);
+            let trace = (0..len).map(|i| {
+                let pc = Addr::new(0x40_0000 + e * 0x1_0000 + i * 4);
                 if i % 5 == 3 {
-                    v.push(Instr::load(pc, Addr::new(0x10_0000 + (e * instrs_per_event + i) as u64 * 64), false));
+                    Instr::load(pc, Addr::new(0x10_0000 + (e * len + i) * 64), false)
                 } else {
-                    v.push(Instr::alu(pc));
+                    Instr::alu(pc)
                 }
-            }
-            streams.push(v);
+            });
+            events.push(PackedEvent::new(trace.collect(), None, PackedTrace::new()));
         }
-        ToyWorkload { records, streams }
+        tweak(&mut records);
+        PackedWorkload::new(records, Arc::new(TraceArena::new(events)), n_events * len)
+    }
+
+    fn toy(n_events: u64, len: u64) -> PackedWorkload {
+        toy_with(n_events, len, |_| {})
     }
 
     fn stall(cycles: u64) -> Stall {
@@ -963,8 +738,7 @@ mod tests {
 
     #[test]
     fn order_mispredicted_event_discards_lists() {
-        let mut w = toy(3, 400);
-        w.records[1].order_mispredicted = true;
+        let w = toy_with(3, 400, |r| r[1].order_mispredicted = true);
         let mut esp = EspState::new(EspFeatures::full(), &w);
         let mut engine = Engine::new(EngineConfig::baseline());
         for k in 0..4 {
@@ -978,8 +752,7 @@ mod tests {
 
     #[test]
     fn unposted_events_are_not_pre_executed() {
-        let mut w = toy(2, 400);
-        w.records[1].post_time = Cycle::new(1_000_000_000);
+        let w = toy_with(2, 400, |r| r[1].post_time = Cycle::new(1_000_000_000));
         let mut esp = EspState::new(EspFeatures::full(), &w);
         let mut engine = Engine::new(EngineConfig::baseline());
         esp.spend_window(&mut engine, stall(101), 0);

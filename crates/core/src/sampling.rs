@@ -38,8 +38,9 @@
 //! predicting the next measured grain's per-instruction cycle metrics,
 //! and — once trained and in bounds — *skips* the engine-warming walk
 //! for the stretch interior. Skipped grains advance the cursor with a
-//! decode-free fast-forward ([`esp_trace::EventStream::skip_region`]) —
-//! no sink, no operand decode — so retirement and the grain clock stay
+//! decode-free fast-forward ([`esp_trace::EventCursor::skip_region_observed`])
+//! that reports only memory touches (for the footprint reinstall) — no
+//! branch decode, no engine — so retirement and the grain clock stay
 //! exact while the walk costs a small fraction of functional warming.
 //! The last `warm_suffix_grains` grains of every stretch are always
 //! fully warmed to rebuild short-term cache/predictor state, and the
@@ -61,13 +62,12 @@ use crate::esp_state::{EspRunStats, EspState};
 use crate::lineset::LineSet;
 use crate::replay::{ReplayLists, ReplayState, ReplayStats};
 use crate::report::RunReport;
-use crate::simulator::Simulator;
+use crate::simulator::{run_summary, EventTally, Simulator};
 use esp_energy::{ActivityCounts, EnergyModel};
 use esp_learn::{FastForward, LearnParams, LearnedStats};
-use esp_obs::{CpiStack, EventSpan, NullProbe, Probe, RunSummary};
+use esp_obs::{CpiStack, EventSpan, NullProbe, Probe};
 use esp_stats::{ratio_estimate, RatioEstimate};
-use esp_trace::kindbits::{TAG_COND, TAG_LOAD, TAG_MASK, TAG_STORE};
-use esp_trace::{EventCursor, EventStream, ForkStream, Instr, Workload, INSTR_BYTES};
+use esp_trace::{EventCursor, Instr, PackedWorkload, Workload};
 use esp_uarch::{Engine, KernelParams, KindTable, WarmTee};
 
 /// Sampling-mode parameters: grain size and sampling period.
@@ -310,7 +310,8 @@ impl SampleCtl {
     /// warmup grain. The suffix is always fully engine-warmed, and it is
     /// the only region features are extracted from, in training and
     /// skipping modes alike: skipped interiors are fast-forwarded with no
-    /// observer at all ([`esp_trace::EventStream::skip_region`]), so
+    /// engine or extractor attached
+    /// ([`esp_trace::EventCursor::skip_region_observed`]), so
     /// collecting training features from interiors would feed the model a
     /// view prediction-time stretches never see.
     fn in_learn_suffix(&self) -> bool {
@@ -410,8 +411,7 @@ impl SampleCtl {
     }
 
     /// Advances the grain clock by `n` functionally-warmed instructions
-    /// in one step. `n` must not overshoot the grain boundary (callers
-    /// bound their warm walks by [`SampleCtl::until_boundary`]).
+    /// in one step (see [`SampleCtl::advance`]).
     fn warm_bulk(
         &mut self,
         n: u64,
@@ -419,39 +419,27 @@ impl SampleCtl {
         replay: &ReplayState,
         esp: &Option<EspState<'_>>,
     ) {
-        debug_assert!(n <= self.until_boundary());
         self.warm_pending += n;
+        self.advance(n, engine, replay, esp);
+    }
+
+    /// Advances the grain clock by `n` retired instructions and performs
+    /// the kind transition when they reach the grain boundary. `n` must
+    /// not overshoot it (callers bound their walks by
+    /// [`SampleCtl::until_boundary`]).
+    fn advance(
+        &mut self,
+        n: u64,
+        engine: &mut Engine,
+        replay: &ReplayState,
+        esp: &Option<EspState<'_>>,
+    ) {
+        debug_assert!(n <= self.until_boundary());
         self.grain_acc += n;
         if self.grain_acc >= self.grain_instrs {
             self.grain_acc = 0;
             self.cross_boundary(engine, replay, esp);
         }
-    }
-
-    /// Advances the grain clock by `n` detailed instructions that are
-    /// guaranteed to stay strictly inside the current grain (`n <
-    /// until_boundary()`). Equivalent to `n` calls of
-    /// [`SampleCtl::after_instr`] that each return early — the batched
-    /// kernel loop uses this for plain-ALU runs it charges in one step.
-    fn detailed_bulk(&mut self, n: u64) {
-        debug_assert!(n < self.until_boundary());
-        self.grain_acc += n;
-    }
-
-    /// Advances the grain clock by one retired instruction and performs
-    /// the kind transition when a grain boundary is crossed.
-    fn after_instr(
-        &mut self,
-        engine: &mut Engine,
-        replay: &ReplayState,
-        esp: &Option<EspState<'_>>,
-    ) {
-        self.grain_acc += 1;
-        if self.grain_acc < self.grain_instrs {
-            return;
-        }
-        self.grain_acc = 0;
-        self.cross_boundary(engine, replay, esp);
     }
 
     /// The grain-boundary transition: flushes/closes the grain that just
@@ -583,8 +571,8 @@ impl Simulator {
 
     /// [`Simulator::run_sampled`] with an observability probe. The probe
     /// sees the detailed grains only — stall charges, windows, and one
-    /// [`EventSpan`] per event — plus a final [`RunSummary`] carrying the
-    /// extrapolated totals.
+    /// [`EventSpan`] per event — plus a final [`esp_obs::RunSummary`]
+    /// carrying the extrapolated totals.
     pub fn run_sampled_probed<P: Probe>(
         &self,
         workload: &dyn Workload,
@@ -593,10 +581,11 @@ impl Simulator {
     ) -> SampledRun {
         assert!(params.grain_instrs > 0, "grain_instrs must be positive");
         assert!(params.period >= 3, "period must be >= 3");
-        if let Some(run) = self.sampled_exact_fallback(workload, params, probe) {
+        let packed = workload.to_packed();
+        if let Some(run) = self.sampled_exact_fallback(&packed, params, probe) {
             return run;
         }
-        self.run_sampled_inner(workload, params, probe, None)
+        self.run_sampled_inner(&packed, params, probe, None)
     }
 
     /// Runs the workload in *learned* sampling mode: like
@@ -637,17 +626,18 @@ impl Simulator {
         if let Err(e) = learn.validate() {
             panic!("invalid learned-mode parameters: {e}");
         }
-        if let Some(mut run) = self.sampled_exact_fallback(workload, params, probe) {
+        let packed = workload.to_packed();
+        if let Some(mut run) = self.sampled_exact_fallback(&packed, params, probe) {
             run.learned = Some(LearnedStats::empty(learn.model));
             return run;
         }
-        let run = self.run_sampled_inner(workload, params, probe, Some(learn));
+        let run = self.run_sampled_inner(&packed, params, probe, Some(learn));
         let stats = run.learned.expect("learned run carries stats");
         if stats.disabled && stats.skipped_instrs > 0 {
             // Last rung of the ladder: the model kept breaching its bound
             // after skipping had already touched warm state. Discard the
             // tainted estimate and redo the run with plain warming.
-            let mut clean = self.run_sampled_inner(workload, params, &mut NullProbe, None);
+            let mut clean = self.run_sampled_inner(&packed, params, &mut NullProbe, None);
             clean.learned = Some(LearnedStats { rerun_full: true, ..stats });
             return clean;
         }
@@ -658,7 +648,7 @@ impl Simulator {
     /// workload cannot hold two sampling periods.
     fn sampled_exact_fallback<P: Probe>(
         &self,
-        workload: &dyn Workload,
+        workload: &PackedWorkload,
         params: SampleParams,
         probe: &mut P,
     ) -> Option<SampledRun> {
@@ -692,7 +682,7 @@ impl Simulator {
 
     fn run_sampled_inner<P: Probe>(
         &self,
-        workload: &dyn Workload,
+        workload: &PackedWorkload,
         params: SampleParams,
         probe: &mut P,
         learn: Option<LearnParams>,
@@ -714,8 +704,8 @@ impl Simulator {
         let mut pending_lists: Option<ReplayLists> = None;
         let events = workload.events();
         let line_bytes = self.config().engine.machine.hierarchy.l1i.line_bytes;
-        // Same once-per-run lowering as exact mode: detailed grains over
-        // packed workloads run the fused kernel through this table.
+        // Same once-per-run lowering as exact mode: detailed grains run
+        // the fused kernel through this table.
         let kernel_params = engine.lower_kernel();
         let kind_table = KindTable::<P>::new(&kernel_params);
         let n_looper = self.config().looper_instrs as u64;
@@ -730,7 +720,6 @@ impl Simulator {
             let span_start = engine.now();
             let stack_before = *engine.cpi_stack();
             let retired_before = engine.stats().retired;
-            let mut span_windows = 0u64;
 
             engine.idle_until(record.post_time);
 
@@ -756,46 +745,26 @@ impl Simulator {
                     replay.tick(&mut engine, 0, 0);
                     engine.step_probed(&instr, probe);
                 }
-                ctl.after_instr(&mut engine, &replay, &esp);
+                ctl.advance(1, &mut engine, &replay, &esp);
             }
 
-            span_windows += match workload.as_packed() {
-                Some(packed) => {
-                    let mut stream =
-                        packed.arena().event(record.id.index() as usize).actual_cursor();
-                    self.run_event_sampled_kernel(
-                        &mut stream,
-                        idx,
-                        &mut engine,
-                        &mut esp,
-                        &mut replay,
-                        probe,
-                        &mut ctl,
-                        measure_ws,
-                        line_bytes,
-                        &kernel_params,
-                        &kind_table,
-                        &mut iws,
-                        &mut dws,
-                    )
-                }
-                None => {
-                    let mut stream = workload.actual_stream(record.id);
-                    self.run_event_sampled(
-                        &mut stream,
-                        idx,
-                        &mut engine,
-                        &mut esp,
-                        &mut replay,
-                        probe,
-                        &mut ctl,
-                        measure_ws,
-                        line_bytes,
-                        &mut iws,
-                        &mut dws,
-                    )
-                }
-            };
+            // The arena is indexed by schedule position, not event id.
+            let mut stream = workload.arena().event(idx).actual_cursor();
+            let windows = self.run_event_sampled(
+                &mut stream,
+                idx,
+                &mut engine,
+                &mut esp,
+                &mut replay,
+                probe,
+                &mut ctl,
+                measure_ws,
+                line_bytes,
+                &kernel_params,
+                &kind_table,
+                &mut iws,
+                &mut dws,
+            );
 
             if let Some(esp) = esp.as_mut() {
                 if measure_ws {
@@ -813,7 +782,7 @@ impl Simulator {
                 start: span_start,
                 end: engine.now(),
                 retired: engine.stats().retired - retired_before,
-                windows: span_windows,
+                windows,
                 stack: engine.cpi_stack().since(&stack_before),
             });
         }
@@ -864,114 +833,18 @@ impl Simulator {
             estimate.branch_cpi = r[3].inflate(estimate.branch_cpi);
             l.stats()
         });
-        let mem_snap = engine.mem().snapshot();
-        let (esp_branches, esp_mispredicts) = {
-            let b1 = engine.bp().stats(esp_branch::PredictorContext::Esp1);
-            let b2 = engine.bp().stats(esp_branch::PredictorContext::Esp2);
-            (b1.total() + b2.total(), b1.mispredicted + b2.mispredicted)
-        };
-        probe.on_run(&RunSummary {
-            total_cycles: report.total_cycles,
-            events: report.events_run,
-            retired: report.engine.retired,
-            stack: report.cpi_stack,
-            l1i: mem_snap.l1i,
-            l1d: mem_snap.l1d,
-            l2: mem_snap.l2,
-            branches: report.engine.branches,
-            mispredicts: report.engine.mispredicts,
-            esp_branches,
-            esp_mispredicts,
-        });
+        probe.on_run(&run_summary(&report, &engine));
         SampledRun { report, estimate, learned }
     }
 
-    /// The per-instruction loop of one event under the grain clock: the
-    /// exact-mode loop body in detailed grains, warm stepping in warming
-    /// grains, switching at grain boundaries mid-stream.
+    /// The per-instruction loop of one event under the grain clock:
+    /// detailed grains run the exact-mode kernel ([`Simulator::run_event`])
+    /// up to the grain boundary, so the grain clock sees the same
+    /// boundary crossings as per-instruction stepping; warming grains
+    /// fast-forward in bulk. Both switch at grain boundaries mid-stream.
+    /// Returns the number of pre-execution windows the event opened.
     #[allow(clippy::too_many_arguments)]
-    fn run_event_sampled<P: Probe, S: ForkStream>(
-        &self,
-        stream: &mut S,
-        idx: usize,
-        engine: &mut Engine,
-        esp: &mut Option<EspState<'_>>,
-        replay: &mut ReplayState,
-        probe: &mut P,
-        ctl: &mut SampleCtl,
-        measure: bool,
-        line_bytes: u64,
-        iws: &mut LineSet,
-        dws: &mut LineSet,
-    ) -> u64 {
-        let mut span_windows = 0u64;
-        let mut branches = 0u64;
-        iws.clear();
-        dws.clear();
-        loop {
-            if ctl.kind() == GrainKind::Warm {
-                // Fast-forward in bulk, straight off the packed arrays,
-                // up to the next grain boundary or end of event. In
-                // learned mode the walk depends on the grain: a decode-
-                // free cursor advance (skipped interior), engine +
-                // extractor tee (stretch suffix), or plain engine
-                // warming (everything else).
-                let want = ctl.until_boundary();
-                let skipped = ctl.skip_now();
-                let collect = ctl.in_learn_suffix();
-                let walked = if skipped {
-                    let l = ctl.learn.as_mut().expect("skipping requires a controller");
-                    stream.skip_region_observed(want, line_bytes, l.footprint_mut())
-                } else {
-                    match ctl.learn.as_mut() {
-                        Some(l) if collect && l.in_stretch() => {
-                            let mut tee = WarmTee::new(engine, l.extractor_mut());
-                            stream.warm_region(want, line_bytes, &mut tee)
-                        }
-                        _ => stream.warm_region(want, line_bytes, engine),
-                    }
-                };
-                ctl.note_learn_walk(walked, skipped);
-                engine.warm_retire(walked);
-                ctl.warm_bulk(walked, engine, replay, esp);
-                if walked < want {
-                    break;
-                }
-                continue;
-            }
-            replay.tick(engine, stream.executed(), branches);
-            let Some(instr) = stream.next_instr() else {
-                break;
-            };
-            if measure {
-                iws.insert(instr.pc.line(line_bytes).as_u64());
-                if let Some(a) = instr.mem_addr() {
-                    dws.insert(a.line(line_bytes).as_u64());
-                }
-            }
-            let out = engine.step_probed(&instr, probe);
-            if instr.is_branch() {
-                branches += 1;
-            }
-            if let Some(stall) = out.stall {
-                self.spend_stall(stall, stream, idx, engine, esp, probe, &mut span_windows);
-            }
-            ctl.after_instr(engine, replay, esp);
-        }
-        span_windows
-    }
-
-    /// The fused-kernel twin of [`Simulator::run_event_sampled`], run for
-    /// packed workloads: detailed grains go through the same lowered
-    /// dispatch table and raw decode as the exact-mode kernel loop, with
-    /// plain-ALU runs batch-charged (clipped to stay strictly inside the
-    /// current grain, so the grain clock sees the same boundary
-    /// crossings); warming grains keep the bulk `warm_region` walk.
-    /// Performs the same engine/ctl call sequence as the generic loop, so
-    /// sampled reports stay byte-identical (asserted by
-    /// `packed_equivalence`).
-    #[allow(clippy::too_many_arguments)]
-    fn run_event_sampled_kernel<P: Probe>(
+    fn run_event_sampled<P: Probe>(
         &self,
         stream: &mut EventCursor<'_>,
         idx: usize,
@@ -987,78 +860,49 @@ impl Simulator {
         iws: &mut LineSet,
         dws: &mut LineSet,
     ) -> u64 {
-        let mut span_windows = 0u64;
-        let mut branches = 0u64;
+        let mut tally = EventTally::default();
         iws.clear();
         dws.clear();
         loop {
-            if ctl.kind() == GrainKind::Warm {
-                let want = ctl.until_boundary();
-                let skipped = ctl.skip_now();
-                let collect = ctl.in_learn_suffix();
-                let walked = if skipped {
-                    let l = ctl.learn.as_mut().expect("skipping requires a controller");
-                    stream.skip_region_observed(want, line_bytes, l.footprint_mut())
-                } else {
-                    match ctl.learn.as_mut() {
-                        Some(l) if collect && l.in_stretch() => {
-                            let mut tee = WarmTee::new(engine, l.extractor_mut());
-                            stream.warm_region(want, line_bytes, &mut tee)
-                        }
-                        _ => stream.warm_region(want, line_bytes, engine),
-                    }
-                };
-                ctl.note_learn_walk(walked, skipped);
-                engine.warm_retire(walked);
-                ctl.warm_bulk(walked, engine, replay, esp);
-                if walked < want {
+            let want = ctl.until_boundary();
+            if ctl.kind() != GrainKind::Warm {
+                let ran = self.run_event(
+                    stream, idx, engine, esp, replay, probe, measure, kp, tbl, iws, dws,
+                    &mut tally, want,
+                );
+                ctl.advance(ran, engine, replay, esp);
+                if ran < want {
                     break;
                 }
                 continue;
             }
-            replay.tick(engine, stream.executed(), branches);
-            // Grain batching, as in the exact kernel loop, additionally
-            // clipped below the grain boundary: the skipped `after_instr`
-            // calls would all have returned early, so the grain clock and
-            // measurement snapshots are unaffected.
-            let headroom = ctl.until_boundary().saturating_sub(1);
-            if headroom > 0 && replay.drained() {
-                let pc = stream.raw_pc();
-                let line = pc >> kp.line_shift;
-                if engine.on_fetch_line(line) {
-                    let line_end = (line + 1) << kp.line_shift;
-                    let max =
-                        (((line_end - pc) / INSTR_BYTES) as usize).min(headroom as usize);
-                    let n = stream.plain_run(max);
-                    if n > 0 {
-                        if measure {
-                            iws.insert(line);
-                        }
-                        stream.skip_plain(n);
-                        engine.charge_plain_alus(n as u64, probe);
-                        ctl.detailed_bulk(n as u64);
-                        continue;
+            // Fast-forward in bulk, straight off the packed arrays, up to
+            // the next grain boundary or end of event. In learned mode
+            // the walk depends on the grain: a decode-free cursor advance
+            // (skipped interior), engine + extractor tee (stretch
+            // suffix), or plain engine warming (everything else).
+            let skipped = ctl.skip_now();
+            let collect = ctl.in_learn_suffix();
+            let walked = if skipped {
+                let l = ctl.learn.as_mut().expect("skipping requires a controller");
+                stream.skip_region_observed(want, line_bytes, l.footprint_mut())
+            } else {
+                match ctl.learn.as_mut() {
+                    Some(l) if collect && l.in_stretch() => {
+                        let mut tee = WarmTee::new(engine, l.extractor_mut());
+                        stream.warm_region(want, line_bytes, &mut tee)
                     }
+                    _ => stream.warm_region(want, line_bytes, engine),
                 }
-            }
-            let Some(rs) = stream.next_raw() else {
-                break;
             };
-            let tag = rs.kind & TAG_MASK;
-            if measure {
-                iws.insert(rs.pc >> kp.line_shift);
-                if tag == TAG_LOAD || tag == TAG_STORE {
-                    dws.insert(rs.op >> kp.line_shift);
-                }
+            ctl.note_learn_walk(walked, skipped);
+            engine.warm_retire(walked);
+            ctl.warm_bulk(walked, engine, replay, esp);
+            if walked < want {
+                break;
             }
-            let out = engine.step_raw(kp, tbl, rs.kind, rs.pc, rs.op, probe);
-            branches += u64::from(tag >= TAG_COND);
-            if let Some(stall) = out.stall {
-                self.spend_stall(stall, stream, idx, engine, esp, probe, &mut span_windows);
-            }
-            ctl.after_instr(engine, replay, esp);
         }
-        span_windows
+        tally.windows
     }
 
     /// Replays pending prediction lists into warmed state: every listed

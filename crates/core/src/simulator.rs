@@ -11,7 +11,7 @@ use esp_mem::{HierarchySnapshot, MemOp};
 use esp_obs::{CycleClass, EventSpan, NullProbe, Probe, RunSummary, WindowRecord, WindowSpender};
 use esp_stats::BranchStats;
 use esp_trace::kindbits::{TAG_COND, TAG_LOAD, TAG_MASK, TAG_STORE};
-use esp_trace::{EventCursor, EventStream, ForkStream, Instr, Workload, INSTR_BYTES};
+use esp_trace::{EventCursor, EventStream, Instr, Workload, INSTR_BYTES};
 use esp_types::Addr;
 use esp_uarch::{Engine, KernelParams, KindTable, StallKind};
 
@@ -41,6 +41,36 @@ pub struct SideEffectLog {
     pub bp_ops: Vec<BpOp>,
     /// Per-context prediction statistics at end of run.
     pub bp_stats: [(PredictorContext, BranchStats); 3],
+}
+
+/// The end-of-run [`RunSummary`] every mode hands its probe: `report`'s
+/// totals plus the hierarchy and ESP-context predictor counters of
+/// `engine`.
+pub(crate) fn run_summary(report: &RunReport, engine: &Engine) -> RunSummary {
+    let mem = engine.mem().snapshot();
+    let esp1 = engine.bp().stats(PredictorContext::Esp1);
+    let esp2 = engine.bp().stats(PredictorContext::Esp2);
+    RunSummary {
+        total_cycles: report.total_cycles,
+        events: report.events_run,
+        retired: report.engine.retired,
+        stack: report.cpi_stack,
+        l1i: mem.l1i,
+        l1d: mem.l1d,
+        l2: mem.l2,
+        branches: report.engine.branches,
+        mispredicts: report.engine.mispredicts,
+        esp_branches: esp1.total() + esp2.total(),
+        esp_mispredicts: esp1.mispredicted + esp2.mispredicted,
+    }
+}
+
+/// What one event's detailed stretches accumulated: branches retired
+/// (the replay lists' branch clock) and pre-execution windows opened.
+#[derive(Default)]
+pub(crate) struct EventTally {
+    pub branches: u64,
+    pub windows: u64,
 }
 
 /// The ESP simulator: one machine configuration, runnable over any
@@ -91,7 +121,9 @@ impl Simulator {
         }
     }
 
-    /// Runs the workload to completion and reports.
+    /// Runs the workload to completion and reports. A workload that is
+    /// not already a [`esp_trace::PackedWorkload`] is packed once first
+    /// ([`Workload::to_packed`]).
     pub fn run(&self, workload: &dyn Workload) -> RunReport {
         self.run_probed(workload, &mut NullProbe)
     }
@@ -129,6 +161,8 @@ impl Simulator {
         probe: &mut P,
         log_effects: bool,
     ) -> (RunReport, Option<SideEffectLog>) {
+        let packed = workload.to_packed();
+        let workload = &*packed;
         let mut engine = Engine::new(self.config.engine.clone());
         let mut esp: Option<EspState<'_>> = match &self.config.mode {
             SimMode::Esp(f) => Some(EspState::new(*f, workload)),
@@ -149,9 +183,8 @@ impl Simulator {
         let mut dws = LineSet::new();
         let measure = self.config.esp_features().is_some_and(|f| f.measure_working_sets);
         let ideal = self.config.esp_features().is_some_and(|f| f.ideal);
-        let line_bytes = self.config.engine.machine.hierarchy.l1i.line_bytes;
-        // Lower the configuration once: the packed event loop runs the
-        // fused kernel through this flat parameter block + kind table.
+        // Lower the configuration once: the event loop runs the fused
+        // kernel through this flat parameter block + kind table.
         let kernel_params = engine.lower_kernel();
         let kind_table = KindTable::<P>::new(&kernel_params);
         let n_looper = self.config.looper_instrs as u64;
@@ -160,7 +193,6 @@ impl Simulator {
             let span_start = engine.now();
             let stack_before = *engine.cpi_stack();
             let retired_before = engine.stats().retired;
-            let mut span_windows = 0u64;
 
             // The looper cannot dequeue an event before it is posted.
             engine.idle_until(record.post_time);
@@ -173,46 +205,26 @@ impl Simulator {
                 engine.step_probed(&Self::looper_instr(idx, i), probe);
             }
 
-            // Dispatch once per event, not once per instruction: packed
-            // workloads run the *fused kernel* loop over a concrete arena
-            // cursor (raw kind bytes through the lowered dispatch table),
-            // everything else the generic decoded loop over its boxed
-            // stream. Both instantiations perform the same engine-call
-            // sequence, so the outputs are bit-identical.
-            span_windows += match workload.as_packed() {
-                Some(packed) => {
-                    let mut stream =
-                        packed.arena().event(record.id.index() as usize).actual_cursor();
-                    self.run_event_kernel(
-                        &mut stream,
-                        idx,
-                        &mut engine,
-                        &mut esp,
-                        &mut replay,
-                        probe,
-                        measure,
-                        &kernel_params,
-                        &kind_table,
-                        &mut iws,
-                        &mut dws,
-                    )
-                }
-                None => {
-                    let mut stream = workload.actual_stream(record.id);
-                    self.run_event(
-                        &mut stream,
-                        idx,
-                        &mut engine,
-                        &mut esp,
-                        &mut replay,
-                        probe,
-                        measure,
-                        line_bytes,
-                        &mut iws,
-                        &mut dws,
-                    )
-                }
-            };
+            // The arena is indexed by schedule position, not event id.
+            let mut stream = workload.arena().event(idx).actual_cursor();
+            let mut tally = EventTally::default();
+            iws.clear();
+            dws.clear();
+            self.run_event(
+                &mut stream,
+                idx,
+                &mut engine,
+                &mut esp,
+                &mut replay,
+                probe,
+                measure,
+                &kernel_params,
+                &kind_table,
+                &mut iws,
+                &mut dws,
+                &mut tally,
+                u64::MAX,
+            );
 
             if let Some(esp) = esp.as_mut() {
                 if measure {
@@ -227,94 +239,36 @@ impl Simulator {
                 start: span_start,
                 end: engine.now(),
                 retired: engine.stats().retired - retired_before,
-                windows: span_windows,
+                windows: tally.windows,
                 stack: engine.cpi_stack().since(&stack_before),
             });
         }
 
-        let mem_snap = engine.mem().snapshot();
-        let (esp_branches, esp_mispredicts) = {
-            let b1 = engine.bp().stats(PredictorContext::Esp1);
-            let b2 = engine.bp().stats(PredictorContext::Esp2);
-            (b1.total() + b2.total(), b1.mispredicted + b2.mispredicted)
-        };
         let log = log_effects.then(|| SideEffectLog {
             mem_ops: engine.mem_mut().take_ops(),
-            mem_snapshot: mem_snap,
+            mem_snapshot: engine.mem().snapshot(),
             bp_ops: engine.bp_mut().take_ops(),
             bp_stats: engine.bp().stats_all(),
         });
-        let report = self.assemble_report(engine, esp, replay, events.len() as u64);
-        probe.on_run(&RunSummary {
-            total_cycles: report.total_cycles,
-            events: report.events_run,
-            retired: report.engine.retired,
-            stack: report.cpi_stack,
-            l1i: mem_snap.l1i,
-            l1d: mem_snap.l1d,
-            l2: mem_snap.l2,
-            branches: report.engine.branches,
-            mispredicts: report.engine.mispredicts,
-            esp_branches,
-            esp_mispredicts,
-        });
+        let report = self.assemble_report(&engine, esp, replay, events.len() as u64);
+        probe.on_run(&run_summary(&report, &engine));
         (report, log)
     }
 
-    /// The per-instruction loop of one event, monomorphised over the
-    /// stream type `S`. For packed workloads `S` is the concrete arena
-    /// cursor, so `next_instr`/`executed` inline into the loop instead of
-    /// going through per-instruction virtual dispatch; generative
-    /// workloads instantiate it with their boxed stream. Returns the
-    /// number of pre-execution windows the event opened.
+    /// The detailed per-instruction loop, a fused kernel: runs up to
+    /// `budget` instructions of one event, decode→predict→access→charge
+    /// in one pass over the raw arena (no per-instruction [`Instr`]
+    /// except for branches). Runs of plain same-line ALU instructions
+    /// are batch-charged, clipped so the instruction that exhausts the
+    /// budget is always stepped alone; batching performs the same
+    /// engine-call sequence as stepping, so reports do not depend on how
+    /// the arena encodes its ALUs (asserted by `packed_equivalence`).
+    /// Exact mode runs whole events (`u64::MAX`), sampled mode one
+    /// detailed grain at a time; `tally` accumulates over the calls of
+    /// one event. Returns the number of instructions run, short of
+    /// `budget` only at end of event.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_event<P: Probe, S: ForkStream>(
-        &self,
-        stream: &mut S,
-        idx: usize,
-        engine: &mut Engine,
-        esp: &mut Option<EspState<'_>>,
-        replay: &mut ReplayState,
-        probe: &mut P,
-        measure: bool,
-        line_bytes: u64,
-        iws: &mut LineSet,
-        dws: &mut LineSet,
-    ) -> u64 {
-        let mut span_windows = 0u64;
-        let mut branches = 0u64;
-        iws.clear();
-        dws.clear();
-        loop {
-            replay.tick(engine, stream.executed(), branches);
-            let Some(instr) = stream.next_instr() else {
-                break;
-            };
-            if measure {
-                iws.insert(instr.pc.line(line_bytes).as_u64());
-                if let Some(a) = instr.mem_addr() {
-                    dws.insert(a.line(line_bytes).as_u64());
-                }
-            }
-            let out = engine.step_probed(&instr, probe);
-            if instr.is_branch() {
-                branches += 1;
-            }
-            if let Some(stall) = out.stall {
-                self.spend_stall(stall, stream, idx, engine, esp, probe, &mut span_windows);
-            }
-        }
-        span_windows
-    }
-
-    /// The fused-kernel twin of [`Simulator::run_event`], run for packed
-    /// workloads: decode→predict→access→charge in one pass over the raw
-    /// arena (no per-instruction [`Instr`] except for branches), with
-    /// runs of plain same-line ALU instructions batch-charged. Performs
-    /// the same engine-call sequence as the generic loop, so reports stay
-    /// byte-identical (asserted by `packed_equivalence`).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_event_kernel<P: Probe>(
+    pub(crate) fn run_event<P: Probe>(
         &self,
         stream: &mut EventCursor<'_>,
         idx: usize,
@@ -327,24 +281,26 @@ impl Simulator {
         tbl: &KindTable<P>,
         iws: &mut LineSet,
         dws: &mut LineSet,
+        tally: &mut EventTally,
+        budget: u64,
     ) -> u64 {
-        let mut span_windows = 0u64;
-        let mut branches = 0u64;
-        iws.clear();
-        dws.clear();
-        loop {
+        // Hot counters live in locals, written back once at the end.
+        let mut done = 0u64;
+        let mut branches = tally.branches;
+        while done < budget {
             replay.tick(engine, stream.executed(), branches);
             // Grain batching: a run of plain ALU instructions on the
             // already-fetched line performs no fetch, branch, data, or
             // replay work — charge its base cycles in one accumulation.
             // (Replay must be drained: tick_slow's prefetch timing
             // depends on the per-instruction clock.)
-            if replay.drained() {
+            let headroom = budget - done - 1;
+            if headroom > 0 && replay.drained() {
                 let pc = stream.raw_pc();
                 let line = pc >> kp.line_shift;
                 if engine.on_fetch_line(line) {
                     let line_end = (line + 1) << kp.line_shift;
-                    let max = ((line_end - pc) / INSTR_BYTES) as usize;
+                    let max = ((line_end - pc) / INSTR_BYTES).min(headroom) as usize;
                     let n = stream.plain_run(max);
                     if n > 0 {
                         if measure {
@@ -355,6 +311,7 @@ impl Simulator {
                         }
                         stream.skip_plain(n);
                         engine.charge_plain_alus(n as u64, probe);
+                        done += n as u64;
                         continue;
                     }
                 }
@@ -372,20 +329,23 @@ impl Simulator {
             let out = engine.step_raw(kp, tbl, rs.kind, rs.pc, rs.op, probe);
             branches += u64::from(tag >= TAG_COND);
             if let Some(stall) = out.stall {
-                self.spend_stall(stall, stream, idx, engine, esp, probe, &mut span_windows);
+                self.spend_stall(stall, stream, idx, engine, esp, probe, &mut tally.windows);
             }
+            done += 1;
         }
-        span_windows
+        tally.branches = branches;
+        done
     }
 
     /// Spends one exposed LLC-miss stall window according to the mode —
-    /// shared by the generic and kernel event loops, exact and sampled.
+    /// shared by the exact and sampled event loops. Runahead pre-executes
+    /// from a copy of `stream`; the original resumes untouched.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub(crate) fn spend_stall<P: Probe, S: ForkStream>(
+    pub(crate) fn spend_stall<P: Probe>(
         &self,
         stall: esp_uarch::Stall,
-        stream: &S,
+        stream: &EventCursor<'_>,
         idx: usize,
         engine: &mut Engine,
         esp: &mut Option<EspState<'_>>,
@@ -397,12 +357,8 @@ impl Simulator {
             SimMode::Runahead { data_only } => {
                 if stall.kind == StallKind::DataLlcMiss {
                     *span_windows += 1;
-                    let ra = engine.run_runahead_cursor(
-                        stream.fork_stream(),
-                        stall.start,
-                        stall.cycles,
-                        *data_only,
-                    );
+                    let ra =
+                        engine.run_runahead(stream.clone(), stall.start, stall.cycles, *data_only);
                     probe.on_window(&WindowRecord {
                         at: stall.start,
                         stall_class: CycleClass::DcacheLlc,
@@ -423,7 +379,7 @@ impl Simulator {
 
     fn assemble_report(
         &self,
-        engine: Engine,
+        engine: &Engine,
         esp: Option<EspState<'_>>,
         replay: ReplayState,
         events_run: u64,

@@ -63,4 +63,4 @@ pub use packed::{
     RawTraceError, TraceArena, WarmSink,
 };
 pub use record::EventRecord;
-pub use stream::{record_stream, EventStream, ForkStream, VecEventStream, Workload};
+pub use stream::{record_stream, EventStream, VecEventStream, Workload};

@@ -17,7 +17,7 @@
 //!   discontinuity is flagged and spills an explicit pc operand.
 //! * [`PackedCursor`] — an allocation-free [`EventStream`] over a
 //!   packed trace: three integers of state, no heap, `Clone` for cheap
-//!   forking.
+//!   forking (runahead resumes from a copy).
 //! * [`PackedEvent`] — one event's *actual* stream plus, when the event
 //!   diverges, the speculative tail from the divergence point onward.
 //!   A speculative cursor reads the shared actual arrays up to the
@@ -28,9 +28,9 @@
 //!   and worker thread that replays it.
 //!
 //! Packing is lossless: a cursor reproduces the recorded [`Instr`]
-//! sequence bit for bit (the equivalence tests in `esp-bench` assert
-//! byte-identical `RunReport`s and JSONL traces against the
-//! regenerative walk).
+//! sequence bit for bit. The packed arena is the only form the
+//! simulator executes: any other [`Workload`] is packed once at the
+//! start of a run ([`PackedWorkload::from_workload`]).
 //!
 //! # Examples
 //!
@@ -54,6 +54,7 @@
 use crate::instr::INSTR_BYTES;
 use crate::{EventRecord, EventStream, Instr, InstrKind, Workload};
 use esp_types::{Addr, EventId};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A consumer of the functional-warming walk ([`PackedTrace::warm_walk`]):
@@ -331,20 +332,12 @@ impl PackedTrace {
 
     /// Drains `stream` to completion into a packed trace.
     pub fn from_stream(stream: &mut dyn EventStream) -> Self {
-        let mut t = PackedTrace::new();
-        while let Some(i) = stream.next_instr() {
-            t.push(&i);
-        }
-        t
+        std::iter::from_fn(|| stream.next_instr()).collect()
     }
 
     /// Packs a recorded instruction slice.
     pub fn from_instrs(instrs: &[Instr]) -> Self {
-        let mut t = PackedTrace::new();
-        for i in instrs {
-            t.push(i);
-        }
-        t
+        instrs.iter().copied().collect()
     }
 
     /// The pc of the first instruction (0 for an empty trace) — the
@@ -471,12 +464,18 @@ impl PackedTrace {
     }
 }
 
+impl Extend<Instr> for PackedTrace {
+    fn extend<T: IntoIterator<Item = Instr>>(&mut self, iter: T) {
+        for i in iter {
+            self.push(&i);
+        }
+    }
+}
+
 impl FromIterator<Instr> for PackedTrace {
     fn from_iter<T: IntoIterator<Item = Instr>>(iter: T) -> Self {
         let mut t = PackedTrace::new();
-        for i in iter {
-            t.push(&i);
-        }
+        t.extend(iter);
         t
     }
 }
@@ -484,9 +483,8 @@ impl FromIterator<Instr> for PackedTrace {
 /// An allocation-free [`EventStream`] cursor over a [`PackedTrace`].
 ///
 /// Three words of state: position, operand index, and the re-derived
-/// program counter. [`EventStream::fork`] boxes a plain copy, so forking
-/// a pre-execution or runahead cursor costs a small fixed allocation
-/// instead of cloning a generator (frames, pools, RNG).
+/// program counter. Forking a runahead cursor is a plain `Clone`, not
+/// a copy of a generator (frames, pools, RNG).
 #[derive(Clone, Debug)]
 pub struct PackedCursor<'a> {
     trace: &'a PackedTrace,
@@ -496,49 +494,18 @@ pub struct PackedCursor<'a> {
 }
 
 impl PackedCursor<'_> {
-    /// Decodes the next instruction, advancing the cursor.
-    ///
-    /// `inline(always)`: this is the grain of every simulation loop; when
-    /// it stays a call, the `Option<Instr>` return travels through memory
-    /// on every one of the run's hundreds of millions of instructions.
+    /// Decodes the next instruction, advancing the cursor: the full form
+    /// of [`PackedCursor::next_raw`], for stream consumers that want an
+    /// [`Instr`] (runahead episodes; the simulation kernels do not).
+    /// `inline(always)` so the `Option<Instr>` return stays out of
+    /// memory in the runahead loop.
     // Deliberately named like `Iterator::next` but not an `Iterator` impl:
-    // the simulator drives cursors through `EventStream`, and a borrowing
+    // consumers drive cursors through `EventStream`, and a borrowing
     // iterator adapter would add nothing but an extra vtable surface.
     #[allow(clippy::should_implement_trait)]
     #[inline(always)]
     pub fn next(&mut self) -> Option<Instr> {
-        let kind = *self.trace.kinds.get(self.pos)?;
-        let mut pc = self.pc;
-        if kind & EXPLICIT_PC != 0 {
-            pc = self.trace.ops[self.op_idx];
-            self.op_idx += 1;
-        }
-        let pc = Addr::new(pc);
-        let flag = kind & FLAG_BIT != 0;
-        let mut operand = || {
-            let v = Addr::new(self.trace.ops[self.op_idx]);
-            self.op_idx += 1;
-            v
-        };
-        let instr = match kind & TAG_MASK {
-            TAG_ALU => Instr::alu(pc),
-            TAG_LOAD => {
-                let addr = operand();
-                Instr::load(pc, addr, flag)
-            }
-            TAG_STORE => Instr::store(pc, operand()),
-            TAG_COND => {
-                let target = operand();
-                Instr::cond_branch(pc, flag, target)
-            }
-            TAG_IND_BRANCH => Instr::indirect(pc, operand()),
-            TAG_IND_CALL => Instr::indirect_call(pc, operand()),
-            TAG_CALL => Instr::call(pc, operand()),
-            _ => Instr::ret(pc, operand()),
-        };
-        self.pos += 1;
-        self.pc = instr.next_pc().as_u64();
-        Some(instr)
+        self.next_raw().map(|step| step.to_instr())
     }
 
     /// Instructions decoded so far.
@@ -685,17 +652,10 @@ impl PackedCursor<'_> {
                     self.op_idx += 1;
                     self.pc += INSTR_BYTES;
                 }
-                tag => {
-                    let target = Addr::new(self.trace.ops[self.op_idx]);
+                _ => {
+                    let op = self.trace.ops[self.op_idx];
                     self.op_idx += 1;
-                    let at = Addr::new(self.pc);
-                    let instr = match tag {
-                        TAG_COND => Instr::cond_branch(at, kind & FLAG_BIT != 0, target),
-                        TAG_IND_BRANCH => Instr::indirect(at, target),
-                        TAG_IND_CALL => Instr::indirect_call(at, target),
-                        TAG_CALL => Instr::call(at, target),
-                        _ => Instr::ret(at, target),
-                    };
+                    let instr = RawStep { kind, pc: self.pc, op }.to_instr();
                     sink.warm_branch(&instr);
                     self.pc = instr.next_pc().as_u64();
                 }
@@ -706,58 +666,16 @@ impl PackedCursor<'_> {
         walked
     }
 
-    /// Decode-free fast-forward: advances the cursor past up to
-    /// `max_instrs` instructions with no sink, no [`Instr`], and no
-    /// fetch-line tracking — just the position, operand-index, and pc
-    /// bookkeeping [`PackedCursor::next`] would have performed. Plain-ALU
-    /// runs are skipped with a single byte sweep; everything else is a
-    /// three-field update per instruction. This is the learned sampling
-    /// mode's skipped-grain walk: the cursor (and therefore retirement
-    /// and the grain clock) stays exact while the walk touches none of
-    /// the operand-derived state a warming walk would.
-    pub fn skip_walk(&mut self, max_instrs: u64) -> u64 {
-        let mut walked = 0u64;
-        while walked < max_instrs {
-            let cap = (max_instrs - walked).min(u32::MAX as u64) as usize;
-            let run = self.plain_alu_run(cap);
-            if run > 0 {
-                self.skip_plain(run);
-                walked += run as u64;
-                continue;
-            }
-            let Some(&kind) = self.trace.kinds.get(self.pos) else { break };
-            if kind & EXPLICIT_PC != 0 {
-                self.pc = self.trace.ops[self.op_idx];
-                self.op_idx += 1;
-            }
-            let tag = kind & TAG_MASK;
-            if tag == TAG_ALU {
-                self.pc += INSTR_BYTES;
-            } else {
-                let op = self.trace.ops[self.op_idx];
-                self.op_idx += 1;
-                // Mirror `Instr::next_pc`, as `next_raw` does.
-                self.pc = if tag < TAG_COND || (tag == TAG_COND && kind & FLAG_BIT == 0) {
-                    self.pc + INSTR_BYTES
-                } else {
-                    op
-                };
-            }
-            self.pos += 1;
-            walked += 1;
-        }
-        walked
-    }
-
-    /// [`PackedCursor::skip_walk`] with a memory-touch observer: fetch
-    /// lines (on transitions, as in
-    /// [`PackedCursor::warm_walk_bounded`]) and load/store addresses are
-    /// reported to `sink`, but **`warm_branch` is never called** — no
-    /// [`Instr`] is materialised, which is where most of the observed
-    /// walk's cost over a bare fast-forward lives. The operand words are
-    /// loaded for cursor advance anyway, so the reporting adds only the
-    /// sink calls themselves. Observers that need branch outcomes must
-    /// use the full warming walk.
+    /// Decode-free fast-forward with a memory-touch observer: advances
+    /// the cursor past up to `max_instrs` instructions exactly as
+    /// [`PackedCursor::next`] would, reporting fetch lines (on
+    /// transitions, as in [`PackedCursor::warm_walk_bounded`]) and
+    /// load/store addresses to `sink` — but **`warm_branch` is never
+    /// called**: no [`Instr`] is materialised, which is where most of a
+    /// warming walk's cost lives. This is the learned sampling mode's
+    /// skipped-grain walk; the cursor (and therefore retirement and the
+    /// grain clock) stays exact. Observers that need branch outcomes
+    /// must use the full warming walk.
     ///
     /// # Panics
     ///
@@ -855,23 +773,6 @@ impl EventStream for PackedCursor<'_> {
     fn executed(&self) -> u64 {
         self.pos as u64
     }
-
-    fn fork(&self) -> Box<dyn EventStream + '_> {
-        Box::new(self.clone())
-    }
-
-    fn skip_region(&mut self, max_instrs: u64) -> u64 {
-        self.skip_walk(max_instrs)
-    }
-
-    fn skip_region_observed<S: WarmSink>(
-        &mut self,
-        max_instrs: u64,
-        line_bytes: u64,
-        sink: &mut S,
-    ) -> u64 {
-        self.skip_walk_observed(max_instrs, line_bytes, sink)
-    }
 }
 
 /// One event's packed streams: the actual trace, and — when the event's
@@ -915,13 +816,14 @@ impl PackedEvent {
 
     /// Opens a cursor over the actual stream.
     pub fn actual_cursor(&self) -> EventCursor<'_> {
-        EventCursor { event: self, seg: self.actual.cursor(), base: 0, speculative: false, in_tail: false }
+        EventCursor { event: self, seg: self.actual.cursor(), base: 0, pending: false }
     }
 
     /// Opens a cursor over the speculative view: the actual arrays up to
     /// the divergence point, then the speculative tail.
     pub fn speculative_cursor(&self) -> EventCursor<'_> {
-        EventCursor { event: self, seg: self.actual.cursor(), base: 0, speculative: true, in_tail: false }
+        let pending = self.diverge_at.is_some();
+        EventCursor { event: self, seg: self.actual.cursor(), base: 0, pending }
     }
 
     /// Bytes of heap this event's packed arrays occupy.
@@ -931,8 +833,8 @@ impl PackedEvent {
 }
 
 /// A resumable cursor over one [`PackedEvent`], in either the actual or
-/// the speculative view. Forking (for runahead) copies the cursor; no
-/// event state is duplicated.
+/// the speculative view. Forking (for runahead) is a `Clone`; no event
+/// state is duplicated.
 #[derive(Clone, Debug)]
 pub struct EventCursor<'a> {
     event: &'a PackedEvent,
@@ -940,21 +842,65 @@ pub struct EventCursor<'a> {
     /// Instructions emitted before the current segment (0 while reading
     /// the actual arrays; the divergence point once in the tail).
     base: u64,
-    speculative: bool,
-    in_tail: bool,
+    /// Whether the cursor has yet to switch to the speculative tail: set
+    /// for the speculative view of a diverging event until it reaches
+    /// the divergence point. Actual cursors test only this flag.
+    pending: bool,
 }
 
-impl EventCursor<'_> {
-    /// Raw twin of [`EventStream::next_instr`] for the specialised
-    /// kernels: same divergence handling, no [`Instr`] materialised.
+impl<'a> EventCursor<'a> {
+    /// Instructions the current segment may still yield before the
+    /// divergence switch; `u64::MAX` when no switch lies ahead.
+    #[inline(always)]
+    fn until_switch(&self) -> u64 {
+        if !self.pending {
+            return u64::MAX;
+        }
+        self.event.diverge_at.map_or(u64::MAX, |at| at - self.seg.position())
+    }
+
+    /// The divergence switch, shared by every walk: a speculative cursor
+    /// that has reached the divergence point continues in the recorded
+    /// tail. Returns how many instructions the current segment may yield
+    /// before the next switch, so bulk walks clip their budgets to it.
+    #[inline(always)]
+    fn enter_tail_if_due(&mut self) -> u64 {
+        let left = self.until_switch();
+        if left != 0 {
+            return left;
+        }
+        self.base = self.seg.position();
+        self.seg = self.event.spec_tail.cursor();
+        self.pending = false;
+        u64::MAX
+    }
+
+    /// Runs `walk` over the current segment with budgets clipped at the
+    /// divergence switch, until `max_instrs` are walked or the stream
+    /// ends. Returns the number of instructions walked.
+    #[inline(always)]
+    fn walk_segments(
+        &mut self,
+        max_instrs: u64,
+        mut walk: impl FnMut(&mut PackedCursor<'a>, u64) -> u64,
+    ) -> u64 {
+        let mut walked = 0u64;
+        while walked < max_instrs {
+            let budget = (max_instrs - walked).min(self.enter_tail_if_due());
+            let n = walk(&mut self.seg, budget);
+            walked += n;
+            if n < budget {
+                break;
+            }
+        }
+        walked
+    }
+
+    /// Decodes the next instruction into its packed essentials (see
+    /// [`PackedCursor::next_raw`]) — the simulation kernels' grain.
     #[inline(always)]
     pub fn next_raw(&mut self) -> Option<RawStep> {
-        if self.speculative && !self.in_tail && Some(self.seg.position()) == self.event.diverge_at
-        {
-            self.base = self.seg.position();
-            self.seg = self.event.spec_tail.cursor();
-            self.in_tail = true;
-        }
+        self.enter_tail_if_due();
         self.seg.next_raw()
     }
 
@@ -969,13 +915,7 @@ impl EventCursor<'_> {
     /// skips the segment switch.
     #[inline(always)]
     pub fn plain_run(&self, max: usize) -> usize {
-        if self.speculative && !self.in_tail {
-            if let Some(d) = self.event.diverge_at {
-                let to_diverge = (d - self.seg.position()) as usize;
-                return self.seg.plain_alu_run(max.min(to_diverge));
-            }
-        }
-        self.seg.plain_alu_run(max)
+        self.seg.plain_alu_run((max as u64).min(self.until_switch()) as usize)
     }
 
     /// See [`PackedCursor::skip_plain`].
@@ -983,121 +923,46 @@ impl EventCursor<'_> {
     pub fn skip_plain(&mut self, n: usize) {
         self.seg.skip_plain(n);
     }
+
+    /// Consumes up to `max_instrs` instructions, feeding their
+    /// architectural state into a functional-warming `sink` (see
+    /// [`PackedCursor::warm_walk_bounded`]) — the sampling mode's
+    /// fast-forward. Returns the number of instructions consumed, short
+    /// of `max_instrs` only at end of stream.
+    pub fn warm_region<S: WarmSink>(
+        &mut self,
+        max_instrs: u64,
+        line_bytes: u64,
+        sink: &mut S,
+    ) -> u64 {
+        self.walk_segments(max_instrs, |seg, n| seg.warm_walk_bounded(n, line_bytes, sink))
+    }
+
+    /// Consumes up to `max_instrs` instructions reporting only memory
+    /// touches to `sink` (see [`PackedCursor::skip_walk_observed`]; the
+    /// branch hook is never called) — the learned sampling mode's
+    /// skipped-grain fast-forward. Returns the number of instructions
+    /// consumed, short of `max_instrs` only at end of stream.
+    pub fn skip_region_observed<S: WarmSink>(
+        &mut self,
+        max_instrs: u64,
+        line_bytes: u64,
+        sink: &mut S,
+    ) -> u64 {
+        self.walk_segments(max_instrs, |seg, n| seg.skip_walk_observed(n, line_bytes, sink))
+    }
 }
 
 impl EventStream for EventCursor<'_> {
     #[inline(always)]
     fn next_instr(&mut self) -> Option<Instr> {
-        if self.speculative && !self.in_tail && Some(self.seg.position()) == self.event.diverge_at
-        {
-            // The pre-execution veers off the actual path here; continue
-            // in the recorded speculative tail.
-            self.base = self.seg.position();
-            self.seg = self.event.spec_tail.cursor();
-            self.in_tail = true;
-        }
+        self.enter_tail_if_due();
         self.seg.next()
     }
 
     #[inline]
     fn executed(&self) -> u64 {
         self.base + self.seg.position()
-    }
-
-    fn fork(&self) -> Box<dyn EventStream + '_> {
-        Box::new(self.clone())
-    }
-
-    fn warm_region<S: WarmSink>(&mut self, max_instrs: u64, line_bytes: u64, sink: &mut S) -> u64 {
-        let mut walked = 0u64;
-        while walked < max_instrs {
-            let mut budget = max_instrs - walked;
-            if self.speculative && !self.in_tail {
-                if let Some(d) = self.event.diverge_at {
-                    let to_diverge = d - self.seg.position();
-                    if to_diverge == 0 {
-                        self.base = self.seg.position();
-                        self.seg = self.event.spec_tail.cursor();
-                        self.in_tail = true;
-                    } else {
-                        budget = budget.min(to_diverge);
-                    }
-                }
-            }
-            let n = self.seg.warm_walk_bounded(budget, line_bytes, sink);
-            walked += n;
-            if n < budget {
-                break;
-            }
-        }
-        walked
-    }
-
-    fn skip_region(&mut self, max_instrs: u64) -> u64 {
-        let mut walked = 0u64;
-        while walked < max_instrs {
-            let mut budget = max_instrs - walked;
-            if self.speculative && !self.in_tail {
-                if let Some(d) = self.event.diverge_at {
-                    let to_diverge = d - self.seg.position();
-                    if to_diverge == 0 {
-                        self.base = self.seg.position();
-                        self.seg = self.event.spec_tail.cursor();
-                        self.in_tail = true;
-                    } else {
-                        budget = budget.min(to_diverge);
-                    }
-                }
-            }
-            let n = self.seg.skip_walk(budget);
-            walked += n;
-            if n < budget {
-                break;
-            }
-        }
-        walked
-    }
-
-    fn skip_region_observed<S: WarmSink>(
-        &mut self,
-        max_instrs: u64,
-        line_bytes: u64,
-        sink: &mut S,
-    ) -> u64 {
-        let mut walked = 0u64;
-        while walked < max_instrs {
-            let mut budget = max_instrs - walked;
-            if self.speculative && !self.in_tail {
-                if let Some(d) = self.event.diverge_at {
-                    let to_diverge = d - self.seg.position();
-                    if to_diverge == 0 {
-                        self.base = self.seg.position();
-                        self.seg = self.event.spec_tail.cursor();
-                        self.in_tail = true;
-                    } else {
-                        budget = budget.min(to_diverge);
-                    }
-                }
-            }
-            let n = self.seg.skip_walk_observed(budget, line_bytes, sink);
-            walked += n;
-            if n < budget {
-                break;
-            }
-        }
-        walked
-    }
-}
-
-impl<'a> crate::ForkStream for EventCursor<'a> {
-    type Forked<'s>
-        = EventCursor<'a>
-    where
-        Self: 's;
-
-    #[inline]
-    fn fork_stream(&self) -> EventCursor<'a> {
-        self.clone()
     }
 }
 
@@ -1109,7 +974,7 @@ pub struct TraceArena {
 }
 
 impl TraceArena {
-    /// Wraps materialised events (indexed by event id).
+    /// Wraps materialised events, one per schedule position.
     pub fn new(events: Vec<PackedEvent>) -> Self {
         TraceArena { events }
     }
@@ -1169,6 +1034,66 @@ impl PackedWorkload {
         PackedWorkload { records, arena, total_instructions }
     }
 
+    /// Packs any workload: drains each event's actual and speculative
+    /// streams once, in schedule order. The speculative view is stored
+    /// as the first index at which the two streams differ plus the rest
+    /// of the speculative stream from there (`None` when they are
+    /// identical), exactly the shape the generator's materialiser
+    /// records. Arena slot `i` holds the `i`-th event of
+    /// [`Workload::events`], whatever its id.
+    ///
+    /// Every stream must terminate (see the [`Workload`] contract).
+    pub fn from_workload<W: Workload + ?Sized>(workload: &W) -> Self {
+        let events = workload
+            .events()
+            .iter()
+            .map(|r| {
+                let mut actual = workload.actual_stream(r.id);
+                let mut spec = workload.speculative_stream(r.id);
+                let mut trace = PackedTrace::new();
+                let mut tail = PackedTrace::new();
+                let mut diverge_at = None;
+                let mut at = 0u64;
+                loop {
+                    let (a, s) = (actual.next_instr(), spec.next_instr());
+                    if a.is_none() && s.is_none() {
+                        break;
+                    }
+                    if a != s {
+                        diverge_at = Some(at);
+                        tail.extend(s.into_iter().chain(std::iter::from_fn(|| spec.next_instr())));
+                        trace.extend(
+                            a.into_iter().chain(std::iter::from_fn(|| actual.next_instr())),
+                        );
+                        break;
+                    }
+                    trace.extend(a);
+                    at += 1;
+                }
+                trace.shrink_to_fit();
+                tail.shrink_to_fit();
+                PackedEvent::new(trace, diverge_at, tail)
+            })
+            .collect();
+        PackedWorkload::new(
+            workload.events().to_vec(),
+            Arc::new(TraceArena::new(events)),
+            workload.approx_total_instructions(),
+        )
+    }
+
+    /// The arena slot of event `id`: its position in the schedule.
+    fn position(&self, id: EventId) -> usize {
+        let i = id.index() as usize;
+        if self.records.get(i).is_some_and(|r| r.id == id) {
+            return i;
+        }
+        self.records
+            .iter()
+            .position(|r| r.id == id)
+            .unwrap_or_else(|| panic!("event {id:?} is not in the workload"))
+    }
+
     /// The shared instruction store.
     pub fn arena(&self) -> &Arc<TraceArena> {
         &self.arena
@@ -1186,19 +1111,19 @@ impl Workload for PackedWorkload {
     }
 
     fn actual_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
-        Box::new(self.arena.event(id.index() as usize).actual_cursor())
+        Box::new(self.arena.event(self.position(id)).actual_cursor())
     }
 
     fn speculative_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
-        Box::new(self.arena.event(id.index() as usize).speculative_cursor())
+        Box::new(self.arena.event(self.position(id)).speculative_cursor())
+    }
+
+    fn to_packed(&self) -> Cow<'_, PackedWorkload> {
+        Cow::Borrowed(self)
     }
 
     fn approx_total_instructions(&self) -> u64 {
         self.total_instructions
-    }
-
-    fn as_packed(&self) -> Option<&PackedWorkload> {
-        Some(self)
     }
 }
 
@@ -1337,9 +1262,9 @@ mod tests {
         cur.next_instr();
         cur.next_instr();
         let rest_forked = {
-            let mut forked = cur.fork();
+            let mut forked = cur.clone();
             assert_eq!(forked.executed(), cur.executed());
-            record_stream(&mut *forked, usize::MAX)
+            record_stream(&mut forked, usize::MAX)
         };
         let rest_original = record_stream(&mut cur, usize::MAX);
         assert_eq!(rest_forked, rest_original);
@@ -1396,9 +1321,10 @@ mod tests {
         for _ in 0..3 {
             cur.next_instr();
         }
-        let mut forked = cur.fork();
-        let rest = record_stream(&mut *forked, usize::MAX);
+        let mut forked = cur.clone();
+        let rest = record_stream(&mut forked, usize::MAX);
         assert_eq!(rest, spec[3..]);
+        assert_eq!(record_stream(&mut cur, usize::MAX), rest, "the original resumes identically");
     }
 
     #[test]
@@ -1467,25 +1393,6 @@ mod tests {
             assert_eq!(sink.loads, want.loads);
             assert_eq!(sink.stores, want.stores);
             assert_eq!(sink.branches, want.branches);
-        }
-    }
-
-    #[test]
-    fn skip_walk_lands_where_decoding_does() {
-        // After fast-forwarding k instructions the cursor must decode
-        // exactly the suffix a freshly decoded cursor would — position,
-        // operand index, and pc all line up at every split point.
-        for v in [consistent(), discontinuous()] {
-            let p = PackedTrace::from_instrs(&v);
-            for k in 0..=v.len() {
-                let mut cur = p.cursor();
-                assert_eq!(cur.skip_walk(k as u64), k as u64);
-                assert_eq!(record_stream(&mut cur, usize::MAX), v[k..]);
-            }
-            // Budget past the end stops at the end.
-            let mut cur = p.cursor();
-            assert_eq!(cur.skip_walk(u64::MAX), v.len() as u64);
-            assert_eq!(cur.next_instr(), None);
         }
     }
 
@@ -1575,16 +1482,7 @@ mod tests {
         assert!(!arena.is_empty());
         assert_eq!(arena.total_instructions(), actual.len() as u64);
         assert!(arena.resident_bytes() > 0);
-        let record = EventRecord {
-            id: EventId::new(0),
-            kind: esp_types::EventKindId::new(0),
-            handler_pc: a(0x1000),
-            arg_addr: a(0x8000_0000),
-            approx_len: actual.len() as u64,
-            post_time: esp_types::Cycle::ZERO,
-            order_mispredicted: false,
-        };
-        let w = PackedWorkload::new(vec![record], arena, actual.len() as u64);
+        let w = PackedWorkload::new(vec![record(0)], arena, actual.len() as u64);
         assert_eq!(w.events().len(), 1);
         assert_eq!(w.approx_total_instructions(), actual.len() as u64);
         assert!(w.resident_bytes() > 0);
@@ -1592,5 +1490,120 @@ mod tests {
         assert_eq!(got, actual);
         let spec = record_stream(&mut *w.speculative_stream(EventId::new(0)), usize::MAX);
         assert_eq!(spec.len(), 4 + 2, "divergence prefix plus recorded tail");
+        assert!(matches!(w.to_packed(), Cow::Borrowed(_)), "a packed workload packs for free");
+    }
+
+    /// An event record of the length of [`consistent`].
+    fn record(id: u64) -> EventRecord {
+        EventRecord {
+            id: EventId::new(id),
+            kind: esp_types::EventKindId::new(0),
+            handler_pc: a(0x1000),
+            arg_addr: a(0x8000_0000),
+            approx_len: consistent().len() as u64,
+            post_time: esp_types::Cycle::ZERO,
+            order_mispredicted: false,
+        }
+    }
+
+    /// A workload of recorded (actual, speculative) stream pairs whose
+    /// event ids are not their schedule positions.
+    struct PairWorkload {
+        records: Vec<EventRecord>,
+        pairs: Vec<(Vec<Instr>, Vec<Instr>)>,
+    }
+
+    impl PairWorkload {
+        fn new(pairs: Vec<(Vec<Instr>, Vec<Instr>)>) -> Self {
+            let records = (0..pairs.len() as u64).map(|i| record(100 - 7 * i)).collect();
+            PairWorkload { records, pairs }
+        }
+
+        fn pair(&self, id: EventId) -> &(Vec<Instr>, Vec<Instr>) {
+            &self.pairs[self.records.iter().position(|r| r.id == id).expect("known id")]
+        }
+    }
+
+    impl Workload for PairWorkload {
+        fn events(&self) -> &[EventRecord] {
+            &self.records
+        }
+
+        fn actual_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
+            Box::new(VecEventStream::new(self.pair(id).0.clone()))
+        }
+
+        fn speculative_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
+            Box::new(VecEventStream::new(self.pair(id).1.clone()))
+        }
+    }
+
+    #[test]
+    fn from_workload_records_every_divergence_shape() {
+        let actual = consistent();
+        let mut mid = actual[..4].to_vec();
+        mid.extend([Instr::alu(a(0x8888)), Instr::load(a(0x888c), a(0x42_0000), false)]);
+        let mut longer = actual.clone();
+        longer.extend([Instr::alu(a(0x4008)), Instr::store(a(0x400c), a(0x10))]);
+        // (speculative stream, expected divergence point)
+        let cases = [
+            (actual.clone(), None),
+            (mid, Some(4)),
+            (discontinuous()[1..].to_vec(), Some(0)),
+            (actual[..6].to_vec(), Some(6)),
+            (longer, Some(actual.len() as u64)),
+            (Vec::new(), Some(0)),
+        ];
+        let w = PairWorkload::new(cases.iter().map(|(s, _)| (actual.clone(), s.clone())).collect());
+        let packed = PackedWorkload::from_workload(&w);
+        assert_eq!(packed.events(), w.events());
+        assert_eq!(packed.approx_total_instructions(), w.approx_total_instructions());
+        for (i, (spec, want_at)) in cases.iter().enumerate() {
+            let ev = packed.arena().event(i);
+            assert_eq!(ev.diverge_at(), *want_at, "case {i}: divergence point");
+            let tail = want_at.map_or(&[][..], |at| &spec[at as usize..]);
+            assert_eq!(record_stream(&mut ev.spec_tail().cursor(), usize::MAX), tail, "case {i}");
+            assert_eq!(record_stream(&mut ev.actual_cursor(), usize::MAX), actual, "case {i}");
+            let mut cur = ev.speculative_cursor();
+            assert_eq!(record_stream(&mut cur, usize::MAX), *spec, "case {i}: speculative view");
+            assert_eq!(cur.executed(), spec.len() as u64, "case {i}: executed count");
+            // Streams opened by id land on the same slot.
+            let id = w.events()[i].id;
+            let got = record_stream(&mut *packed.speculative_stream(id), usize::MAX);
+            assert_eq!(got, *spec, "case {i}: stream by id");
+        }
+    }
+
+    #[test]
+    fn from_workload_of_empty_streams_is_non_diverging() {
+        let w = PairWorkload::new(vec![(Vec::new(), Vec::new())]);
+        let packed = PackedWorkload::from_workload(&w);
+        let ev = packed.arena().event(0);
+        assert_eq!(ev.diverge_at(), None);
+        assert!(ev.actual().is_empty() && ev.spec_tail().is_empty());
+        assert_eq!(ev.speculative_cursor().next_instr(), None);
+    }
+
+    #[test]
+    fn bulk_walks_switch_at_the_divergence_point() {
+        // Warm and observed-skip walks over a speculative cursor report
+        // what decoding its view instruction by instruction would, for
+        // every budget split around the switch.
+        let (ev, _, spec) = diverging_event();
+        let mut want = RecordingSink::default();
+        PackedTrace::from_instrs(&spec).warm_walk(64, &mut want);
+        for k in 0..=spec.len() as u64 {
+            let mut cur = ev.speculative_cursor();
+            let mut sink = RecordingSink::default();
+            assert_eq!(cur.warm_region(k, 64, &mut sink), k);
+            assert_eq!(cur.warm_region(u64::MAX, 64, &mut sink), spec.len() as u64 - k);
+            assert_eq!(sink.loads, want.loads, "split {k}");
+            assert_eq!(sink.branches, want.branches, "split {k}");
+            let mut cur = ev.speculative_cursor();
+            let mut sink = RecordingSink::default();
+            assert_eq!(cur.skip_region_observed(k, 64, &mut sink), k);
+            assert_eq!(cur.executed(), k);
+            assert_eq!(record_stream(&mut cur, usize::MAX), spec[k as usize..], "split {k}");
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Resumable event instruction streams and the workload abstraction.
 
-use crate::{EventRecord, Instr, InstrKind, PackedWorkload, WarmSink};
+use crate::{EventRecord, Instr, PackedWorkload};
 use esp_types::EventId;
+use std::borrow::Cow;
 
 /// A resumable cursor over one event's dynamic instruction stream.
 ///
@@ -11,6 +12,11 @@ use esp_types::EventId;
 /// a deeper jump), and later resumes **exactly where it left off** (§3.4,
 /// "Persisting Event Execution Contexts"). Implementations therefore carry
 /// all generator state internally.
+///
+/// This is the authoring interface for custom workloads. The simulator
+/// itself runs only packed cursors ([`crate::EventCursor`]): a workload's
+/// streams are drained once into a [`PackedWorkload`] at the start of a
+/// run (see [`Workload::to_packed`]), so every stream must terminate.
 pub trait EventStream {
     /// Produces the next instruction, or `None` when the event's handler
     /// returns to the looper.
@@ -19,135 +25,6 @@ pub trait EventStream {
     /// The number of instructions produced so far (the "instruction count
     /// from the beginning of the event" that list entries timestamp).
     fn executed(&self) -> u64;
-
-    /// Checkpoints the cursor: returns an independent stream that
-    /// continues from the current position. Runahead execution forks the
-    /// current event's stream at the blocking load; the original cursor
-    /// resumes normal execution untouched.
-    fn fork(&self) -> Box<dyn EventStream + '_>;
-
-    /// Consumes up to `max_instrs` instructions, feeding their
-    /// architectural state into a functional-warming `sink` instead of
-    /// returning them (the sampling mode's fast-forward). Returns the
-    /// number of instructions consumed, short of `max_instrs` only at end
-    /// of stream.
-    ///
-    /// The default decodes through [`EventStream::next_instr`]; packed
-    /// cursors override it with a walk straight off the packed arrays
-    /// (see `PackedCursor::warm_walk_bounded`). Fetch lines are reported
-    /// on transitions within one call, first instruction included, so
-    /// sinks that dedup fetch lines themselves see identical sequences
-    /// from either path.
-    fn warm_region<S: WarmSink>(&mut self, max_instrs: u64, line_bytes: u64, sink: &mut S) -> u64
-    where
-        Self: Sized,
-    {
-        let mut last_line = u64::MAX;
-        let mut walked = 0u64;
-        while walked < max_instrs {
-            let Some(i) = self.next_instr() else { break };
-            let line = i.pc.line(line_bytes).as_u64();
-            if line != last_line {
-                sink.warm_fetch_line(line);
-                last_line = line;
-            }
-            match i.kind {
-                InstrKind::Alu => {}
-                InstrKind::Load { addr, .. } => sink.warm_load(i.pc.as_u64(), addr.as_u64()),
-                InstrKind::Store { addr } => sink.warm_store(addr.as_u64()),
-                _ => sink.warm_branch(&i),
-            }
-            walked += 1;
-        }
-        walked
-    }
-
-    /// Consumes up to `max_instrs` instructions with no observer at all —
-    /// the learned sampling mode's skipped-grain fast-forward. The cursor
-    /// advances exactly as [`EventStream::warm_region`] would (so
-    /// retirement accounting stays exact), but no architectural state is
-    /// reported anywhere. Returns the number of instructions consumed,
-    /// short of `max_instrs` only at end of stream.
-    ///
-    /// The default decodes through [`EventStream::next_instr`]; packed
-    /// cursors override it with a decode-free walk over the packed
-    /// arrays (see `PackedCursor::skip_walk`).
-    fn skip_region(&mut self, max_instrs: u64) -> u64 {
-        let mut walked = 0u64;
-        while walked < max_instrs && self.next_instr().is_some() {
-            walked += 1;
-        }
-        walked
-    }
-
-    /// [`EventStream::skip_region`] with a memory-touch observer: fetch
-    /// lines and load/store addresses are reported to `sink` so a
-    /// footprint can be collected almost for free, but branch reporting
-    /// is *not* guaranteed — packed cursors never call
-    /// [`WarmSink::warm_branch`] here (see
-    /// `PackedCursor::skip_walk_observed`), while this decoded default
-    /// does. Sinks used with this method must not depend on the branch
-    /// hook.
-    fn skip_region_observed<S: WarmSink>(
-        &mut self,
-        max_instrs: u64,
-        line_bytes: u64,
-        sink: &mut S,
-    ) -> u64
-    where
-        Self: Sized,
-    {
-        self.warm_region(max_instrs, line_bytes, sink)
-    }
-}
-
-impl<S: EventStream + ?Sized> EventStream for Box<S> {
-    #[inline]
-    fn next_instr(&mut self) -> Option<Instr> {
-        (**self).next_instr()
-    }
-
-    #[inline]
-    fn executed(&self) -> u64 {
-        (**self).executed()
-    }
-
-    fn fork(&self) -> Box<dyn EventStream + '_> {
-        (**self).fork()
-    }
-
-    #[inline]
-    fn skip_region(&mut self, max_instrs: u64) -> u64 {
-        (**self).skip_region(max_instrs)
-    }
-}
-
-/// [`EventStream::fork`] without the mandatory box: implementors name
-/// the concrete cursor type their fork produces, so a monomorphised
-/// simulation loop (see `as_packed` on [`Workload`]) can spin off a
-/// runahead side-execution with a plain struct copy instead of a heap
-/// allocation and virtual dispatch per pre-executed instruction.
-/// Runahead opens one fork per stall window — hundreds of thousands per
-/// simulation.
-pub trait ForkStream: EventStream {
-    /// The stream type a fork yields.
-    type Forked<'s>: EventStream
-    where
-        Self: 's;
-
-    /// Checkpoints the cursor, like [`EventStream::fork`].
-    fn fork_stream(&self) -> Self::Forked<'_>;
-}
-
-impl<S: EventStream + ?Sized> ForkStream for Box<S> {
-    type Forked<'s>
-        = Box<dyn EventStream + 's>
-    where
-        Self: 's;
-
-    fn fork_stream(&self) -> Box<dyn EventStream + '_> {
-        (**self).fork()
-    }
 }
 
 /// A complete asynchronous program: an ordered schedule of events, each of
@@ -163,6 +40,19 @@ impl<S: EventStream + ?Sized> ForkStream for Box<S> {
 /// Workloads are `Sync`: one workload is shared by reference across the
 /// matrix workers, each simulating a different configuration over it.
 /// Implementations are immutable once built, so this is free.
+///
+/// # Contract
+///
+/// * Both streams of every event must terminate: the simulator packs a
+///   workload by draining them ([`Workload::to_packed`]).
+/// * Opening a stream twice must yield the same instructions.
+/// * Event ids need not equal schedule positions; the simulator walks
+///   [`Workload::events`] in order and addresses streams by position in
+///   the packed form.
+/// * Each `Simulator::run*` call on a workload that is not already a
+///   [`PackedWorkload`] packs it once. Callers that run many
+///   configurations over one workload should call
+///   [`Workload::to_packed`] once and run the result.
 pub trait Workload: Sync {
     /// The events of the program in execution order.
     fn events(&self) -> &[EventRecord];
@@ -179,13 +69,18 @@ pub trait Workload: Sync {
     /// through.
     fn speculative_stream(&self, id: EventId) -> Box<dyn EventStream + '_>;
 
-    /// Downcast hook for the decode-once arena: [`PackedWorkload`]
-    /// returns itself, letting the simulator's per-instruction loops run
-    /// over a concrete, inlinable cursor instead of a boxed trait object.
-    /// Timing and statistics are identical on both paths — this is purely
-    /// a dispatch optimisation.
-    fn as_packed(&self) -> Option<&PackedWorkload> {
-        None
+    /// The workload as the packed arena the simulator executes. Every
+    /// `Simulator::run*` call resolves this once at entry and runs its
+    /// per-instruction loops over the arena's cursors only.
+    ///
+    /// The default drains every event's actual and speculative streams
+    /// once ([`PackedWorkload::from_workload`]), so it costs one full
+    /// walk of the workload per call; [`PackedWorkload`] returns itself
+    /// for free. Callers that run many configurations over one
+    /// non-packed workload should call this once themselves and run the
+    /// result.
+    fn to_packed(&self) -> Cow<'_, PackedWorkload> {
+        Cow::Owned(PackedWorkload::from_workload(self))
     }
 
     /// Total dynamic instructions across all events (sum of `approx_len`
@@ -237,10 +132,6 @@ impl EventStream for VecEventStream {
 
     fn executed(&self) -> u64 {
         self.pos as u64
-    }
-
-    fn fork(&self) -> Box<dyn EventStream + '_> {
-        Box::new(self.clone())
     }
 }
 

@@ -4,16 +4,17 @@ use crate::code::CodeImage;
 use crate::schedule::Schedule;
 use crate::walk::EventWalk;
 use crate::WorkloadParams;
-use esp_trace::{EventRecord, EventStream, Workload};
+use esp_trace::{EventRecord, EventStream, PackedWorkload, Workload};
 use esp_types::{Addr, EventId};
+use std::borrow::Cow;
 
 /// A fully generated asynchronous program, ready to simulate.
 ///
-/// Implements [`Workload`]: the simulator iterates
-/// [`GeneratedWorkload::events`] in order and opens actual or speculative
-/// streams per event. Streams regenerate deterministically from per-event
-/// seeds, so opening the same stream twice yields identical instructions
-/// without storing any trace.
+/// Implements [`Workload`]. Streams regenerate deterministically from
+/// per-event seeds, so opening the same stream twice yields identical
+/// instructions without storing any trace; the simulator runs the packed
+/// form ([`GeneratedWorkload::materialise`], which is what
+/// [`Workload::to_packed`] returns here).
 ///
 /// # Examples
 ///
@@ -106,6 +107,14 @@ impl Workload for GeneratedWorkload {
 
     fn speculative_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
         Box::new(self.open(id, true))
+    }
+
+    /// Materialises the arena ([`GeneratedWorkload::materialise`]) —
+    /// a full generation pass per call, so callers running many
+    /// configurations should hold on to one materialised arena (the
+    /// memo in [`crate::arena`] does).
+    fn to_packed(&self) -> Cow<'_, PackedWorkload> {
+        Cow::Owned(self.materialise())
     }
 
     fn approx_total_instructions(&self) -> u64 {

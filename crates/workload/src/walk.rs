@@ -623,10 +623,6 @@ impl EventStream for EventWalk<'_> {
     fn executed(&self) -> u64 {
         self.emitted
     }
-
-    fn fork(&self) -> Box<dyn EventStream + '_> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

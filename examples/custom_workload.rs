@@ -34,8 +34,11 @@ fn tuned_generator() {
     p.utilization = 0.95;
     let workload = event_sneak_peek::workload::GeneratedWorkload::generate(p, 2026);
 
-    let base = Simulator::new(SimConfig::next_line()).run(&workload);
-    let esp = Simulator::new(SimConfig::esp_nl()).run(&workload);
+    // The simulator runs packed arenas; pack once and run every
+    // configuration over the result.
+    let packed = workload.to_packed();
+    let base = Simulator::new(SimConfig::next_line()).run(&*packed);
+    let esp = Simulator::new(SimConfig::esp_nl()).run(&*packed);
     println!(
         "sensor hub: {} events of ~{} instrs; ESP speedup over NL: {:.1}% \
          (pre-executed {:.1}%)",
@@ -47,7 +50,8 @@ fn tuned_generator() {
 }
 
 /// Part 2: a hand-built two-event workload over explicit traces, plus a
-/// codec dump of the first event.
+/// codec dump of the first event. `run` packs it once on entry, so its
+/// streams must terminate.
 fn hand_built_workload() {
     struct TinyWorkload {
         records: Vec<EventRecord>,

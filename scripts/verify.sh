@@ -30,7 +30,7 @@ cargo test -q --release -p esp-bench --test trace_import_equivalence
 echo "== determinism: parallel runner == sequential simulation =="
 cargo test -q --release -p esp-bench --test determinism
 
-echo "== packed arena: bit-equivalence vs regenerative streams + generator pin =="
+echo "== packed arena: encoding invariance + generic packer ≡ emitter + generator pin =="
 cargo test -q --release -p esp-bench --test packed_equivalence
 cargo test -q --release --test generator_pin
 

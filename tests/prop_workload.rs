@@ -37,14 +37,14 @@ fn walks_are_deterministic_and_consistent() {
         for pair in a.windows(2) {
             assert_eq!(pair[0].next_pc(), pair[1].pc, "seed {seed}");
         }
-        // Fork mid-stream and compare continuations.
-        let mut s = w.actual_stream(id);
-        record_stream(&mut *s, 500);
+        // Fork (clone) mid-stream and compare continuations.
+        let mut s = w.walk_actual(id);
+        record_stream(&mut s, 500);
         let rest_fork = {
-            let mut forked = s.fork();
-            record_stream(&mut *forked, 500)
+            let mut forked = s.clone();
+            record_stream(&mut forked, 500)
         };
-        let rest_orig = record_stream(&mut *s, 500);
+        let rest_orig = record_stream(&mut s, 500);
         assert_eq!(rest_orig, rest_fork, "seed {seed}");
     }
 }
